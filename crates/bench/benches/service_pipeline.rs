@@ -4,17 +4,13 @@
 //! through one loopback TCP connection; the only variable is the wire
 //! discipline:
 //!
-//! * `tcp_blocking` — the legacy [`TcpClient`]: one v1 frame out, wait
-//!   for the reply, repeat. Every query pays a full round trip plus a
-//!   reactor wakeup.
+//! * `tcp_blocking` — the depth-1 baseline: one request out through
+//!   [`PipelinedClient::call`], wait for the reply, repeat. Every query
+//!   pays a full round trip plus a reactor wakeup.
 //! * `tcp_pipelined/8` — the [`PipelinedClient`] keeping a depth-8
 //!   window of tagged requests in flight: the round trips and reactor
 //!   wakeups amortise across the window, and the worker pool sees the
 //!   whole window at once instead of one query at a time.
-//!
-//! Expected shape: pipelined ≥ 1.5× blocking at depth 8 (the win grows
-//! with round-trip cost — loopback is the *worst* case for pipelining,
-//! any real network makes the gap wider).
 //!
 //! The `many_conns_reactors/{1,2}` legs measure the reactor fan-out
 //! instead: 64 concurrent pipelined connections against the same
@@ -30,7 +26,7 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lwsnap_service::{PipelinedClient, Response, Server, ServiceConfig, SolverBackend, TcpClient};
+use lwsnap_service::{PipelinedClient, Request, Response, Server, ServiceConfig, SolverBackend};
 use lwsnap_solver::Lit;
 
 const DEPTH: usize = 8;
@@ -149,12 +145,16 @@ fn bench_service_pipeline(c: &mut Criterion) {
     group.throughput(Throughput::Elements((DEPTH * WINDOWS) as u64));
 
     group.bench_function("tcp_blocking", |b| {
-        let mut client = TcpClient::connect(addr).expect("connect");
-        let root = client.session_root(1).expect("root");
+        let client = PipelinedClient::connect(addr).expect("connect");
+        let root = client.session_root(1).expect("root").to_wire();
         let mut step = 0usize;
         b.iter(|| {
             for _ in 0..DEPTH * WINDOWS {
-                let response = client.solve(root, &wire_clauses(step)).expect("solve");
+                let request = Request::Solve {
+                    parent: root,
+                    clauses: wire_clauses(step),
+                };
+                let response = client.call(&request).expect("solve");
                 let Response::Solved { sat: true, .. } = response else {
                     panic!("expected SAT");
                 };

@@ -8,11 +8,10 @@
 //!         [--replica-budget BYTES] [--metrics-addr HOST:PORT]
 //! ```
 //!
-//! Serves the `lwsnap-service` wire protocol (legacy in-order frames
-//! and pipelined tagged frames on the same port, multiplexed by
-//! `--reactors` epoll reactor threads — one per core by default, each
-//! with its own `SO_REUSEPORT` listener so the kernel shards accepted
-//! connections across them) until a client sends a `Shutdown` request,
+//! Serves the `lwsnap-service` wire protocol (pipelined tagged frames,
+//! multiplexed by `--reactors` epoll reactor threads — one per core by
+//! default, each with its own `SO_REUSEPORT` listener so the kernel
+//! shards accepted connections across them) until a client sends a `Shutdown` request,
 //! then prints the final service and worker statistics. `--capacity`
 //! bounds the resident solver snapshots *per shard* by count,
 //! `--budget` by byte cost (clause + assignment footprint); evicted

@@ -11,7 +11,7 @@
 //!   how the scheduler slices it, and a failure reproduces from its
 //!   seed alone.
 //! * **Verdict safety** — faults apply ONLY to fire-and-forget
-//!   replication-plane frames (`Replicate`, `Unreplicate`, `Forward`)
+//!   replication-plane frames (`Replicate`, `Unreplicate`)
 //!   whose loss the system is *designed* to absorb (the client reships
 //!   its whole log at failover, and the client/server planes are
 //!   redundant). Data-plane `Solve` frames are never touched: dropping
@@ -35,7 +35,8 @@ use crate::router::mix64;
 /// Plane salt for client-fanned replication frames.
 pub const PLANE_CLIENT: u64 = 1;
 
-/// Plane salt for server-fanned (`Forward`) replication frames.
+/// Plane salt for server-fanned replication frames (the home node's
+/// own `Replicate`/`Unreplicate` fan-out).
 pub const PLANE_SERVER: u64 = 2;
 
 /// Content-stable chaos key of a session root. Wire problem ids are

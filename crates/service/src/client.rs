@@ -1,15 +1,15 @@
-//! Wire-protocol clients: the blocking one-call-at-a-time
-//! [`TcpClient`], the [`PipelinedClient`] that keeps many tagged
-//! requests in flight on one connection, and the [`ClusterBackend`]
-//! that spreads sessions over N pipelined connections — one per
-//! cluster node — through the consistent-hash [`crate::router::Ring`].
+//! Wire-protocol clients: the [`PipelinedClient`] that keeps many
+//! tagged requests in flight on one connection, and the
+//! [`ClusterBackend`] that spreads sessions over N pipelined
+//! connections — one per cluster node — through the consistent-hash
+//! [`crate::router::Ring`].
 //!
-//! All of them speak the same `lwsnapd` protocol; the pipelined client
-//! uses v2 tagged frames ([`crate::protocol::TAGGED`]) so the server
-//! may complete its requests out of order, and both it and the cluster
-//! backend implement [`crate::SolverBackend`] so drivers written
-//! against the trait can run remotely — on one node or on a whole
-//! cluster — unchanged.
+//! Both speak the `lwsnapd` protocol's tagged frames
+//! ([`crate::protocol::TAGGED`]), so the server may complete requests
+//! out of order, and both implement [`crate::SolverBackend`] so drivers
+//! written against the trait can run remotely — on one node or on a
+//! whole cluster — unchanged. One request at a time is
+//! [`PipelinedClient::call`].
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -24,8 +24,8 @@ use lwsnap_trace::{self as trace, Event, MetricsSnapshot};
 use crate::backend::{foreign_ticket, SolverBackend, Ticket, TicketInner};
 use crate::chaos::{root_key, stable_key, ChaosAction, ChaosPolicy, PLANE_CLIENT};
 use crate::protocol::{
-    lits_to_clauses, put_tagged_frame, read_any_frame, read_frame, write_frame, write_tagged_frame,
-    ProtoError, Request, Response, StatsSummary,
+    lits_to_clauses, put_tagged_frame, read_frame, write_tagged_frame, ProtoError, Request,
+    Response, StatsSummary, FRAMING_ERROR_TAG,
 };
 use crate::router::{mix64, NodeId, Ring};
 use crate::sharded::{ProblemId, SolveReply};
@@ -53,98 +53,8 @@ impl std::fmt::Display for Disconnected {
 
 impl std::error::Error for Disconnected {}
 
-pub(crate) fn disconnected() -> io::Error {
+fn disconnected() -> io::Error {
     io::Error::new(io::ErrorKind::ConnectionAborted, Disconnected)
-}
-
-/// A blocking client for the `lwsnapd` wire protocol: one
-/// request/response exchange at a time, in order (legacy v1 frames).
-pub struct TcpClient {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl TcpClient {
-    /// Connects to a running server.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(TcpClient {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream.try_clone()?),
-            stream,
-        })
-    }
-
-    /// Bounds how long a [`TcpClient::call`] may block waiting for the
-    /// server's reply (`None` = wait forever). On expiry the call fails
-    /// with a `WouldBlock`/`TimedOut` error; the connection may then
-    /// hold a half-read frame, so treat a timed-out client as dead and
-    /// reconnect — the timeout is for *detecting* a hung server, not
-    /// for retrying on a live connection.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)
-    }
-
-    /// One request/response exchange.
-    ///
-    /// Error taxonomy: a clean server close between frames is
-    /// `ConnectionAborted` carrying [`Disconnected`]; a stream that
-    /// dies mid-frame is `UnexpectedEof` (truncation); a configured
-    /// read timeout surfaces as `WouldBlock`/`TimedOut`.
-    pub fn call(&mut self, request: &Request) -> io::Result<Response> {
-        write_frame(&mut self.writer, &request.encode())?;
-        let payload = read_frame(&mut self.reader)?.ok_or_else(disconnected)?;
-        Response::decode(&payload).map_err(io::Error::from)
-    }
-
-    /// The root problem for a session id.
-    pub fn session_root(&mut self, session: u64) -> io::Result<u64> {
-        match self.call(&Request::Root { session })? {
-            Response::Root { problem } => Ok(problem),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Solves `parent ∧ clauses` (DIMACS literals); returns the full
-    /// [`Response::Solved`] payload or the server's error as `io::Error`.
-    pub fn solve(&mut self, parent: u64, clauses: &[Vec<i64>]) -> io::Result<Response> {
-        let response = self.call(&Request::Solve {
-            parent,
-            clauses: clauses.to_vec(),
-        })?;
-        match response {
-            Response::Solved { .. } => Ok(response),
-            Response::Error(msg) => Err(io::Error::new(io::ErrorKind::NotFound, msg)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Releases a problem snapshot.
-    pub fn release(&mut self, problem: u64) -> io::Result<()> {
-        match self.call(&Request::Release { problem })? {
-            Response::Released => Ok(()),
-            Response::Error(msg) => Err(io::Error::new(io::ErrorKind::NotFound, msg)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Fetches the aggregated service statistics.
-    pub fn stats(&mut self) -> io::Result<StatsSummary> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Asks the daemon to shut down; returns its final stats snapshot.
-    pub fn shutdown_server(&mut self) -> io::Result<StatsSummary> {
-        match self.call(&Request::Shutdown)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(unexpected(other)),
-        }
-    }
 }
 
 fn unexpected(response: Response) -> io::Error {
@@ -176,7 +86,16 @@ struct PipeState {
     /// (fire-and-forget requests like release).
     forgotten: HashSet<u64>,
     /// A terminal transport error: once set, every wait fails with it.
-    dead: Option<(io::ErrorKind, String)>,
+    dead: Option<Dead>,
+}
+
+/// Why a pipelined connection stopped delivering replies.
+enum Dead {
+    /// The server closed cleanly between frames.
+    Disconnected,
+    /// Anything else: the error's kind and rendering (`io::Error` is
+    /// not `Clone`, and every waiter gets its own copy).
+    Failed(io::ErrorKind, String),
 }
 
 /// A pipelined client: many tagged requests in flight on one
@@ -239,8 +158,11 @@ impl PipelinedClient {
     }
 
     /// Bounds how long a blocked wait may sit on the socket before
-    /// failing (`None` = wait forever); see
-    /// [`TcpClient::set_read_timeout`] for the caveats.
+    /// failing (`None` = wait forever). On expiry the wait fails with a
+    /// `WouldBlock`/`TimedOut` error and so does every later wait: the
+    /// connection may hold a half-read frame, so treat a timed-out
+    /// client as dead and reconnect — the timeout is for *detecting* a
+    /// hung server, not for retrying on a live connection.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         self.stream.set_read_timeout(timeout)
     }
@@ -290,7 +212,8 @@ impl PipelinedClient {
 
     /// Submits a request whose response should be discarded on arrival
     /// (fire-and-forget). Crate-visible: the server's own forwarding
-    /// plane ([`crate::net`]) ships `Forward` frames through it too.
+    /// plane ([`crate::net`]) ships its `Replicate` frames through it
+    /// too.
     pub(crate) fn submit_forgotten(&self, request: &Request) -> io::Result<()> {
         let tag = self.submit_request(request)?;
         let mut st = self.state.lock().unwrap();
@@ -302,7 +225,10 @@ impl PipelinedClient {
     }
 
     /// Blocks until the response for `tag` arrives, reading the socket
-    /// if no other thread currently is.
+    /// if no other thread currently is. A reply on the reserved
+    /// [`FRAMING_ERROR_TAG`] means the server rejected this
+    /// connection's framing and is closing it: it fails every wait with
+    /// the server's message.
     pub fn wait_response(&self, tag: u64) -> io::Result<Response> {
         loop {
             {
@@ -310,45 +236,40 @@ impl PipelinedClient {
                 if let Some(resp) = st.done.remove(&tag) {
                     return Ok(resp);
                 }
-                if let Some((kind, msg)) = &st.dead {
-                    return Err(io::Error::new(*kind, msg.clone()));
+                match &st.dead {
+                    Some(Dead::Disconnected) => return Err(disconnected()),
+                    Some(Dead::Failed(kind, msg)) => {
+                        return Err(io::Error::new(*kind, msg.clone()))
+                    }
+                    None => {}
                 }
             }
             match self.reader.try_lock() {
                 Ok(mut reader) => {
-                    let read = read_any_frame(&mut *reader);
+                    let read = read_frame(&mut *reader);
                     let mut st = self.state.lock().unwrap();
                     match read {
                         Ok(Some(frame)) => {
-                            let Some(frame_tag) = frame.tag else {
-                                st.dead =
-                                    Some((io::ErrorKind::InvalidData, "untagged reply".into()));
-                                self.arrived.notify_all();
-                                continue;
-                            };
-                            if st.forgotten.remove(&frame_tag) {
+                            if st.forgotten.remove(&frame.tag) {
                                 continue;
                             }
                             match Response::decode(&frame.payload) {
+                                Ok(Response::Error(msg)) if frame.tag == FRAMING_ERROR_TAG => {
+                                    st.dead = Some(Dead::Failed(io::ErrorKind::InvalidData, msg));
+                                }
                                 Ok(resp) => {
-                                    st.done.insert(frame_tag, resp);
+                                    st.done.insert(frame.tag, resp);
                                 }
                                 Err(e) => {
-                                    st.dead = Some((io::ErrorKind::InvalidData, e.to_string()));
+                                    let msg = e.to_string();
+                                    st.dead = Some(Dead::Failed(io::ErrorKind::InvalidData, msg));
                                 }
                             }
-                            self.arrived.notify_all();
                         }
-                        Ok(None) => {
-                            st.dead =
-                                Some((io::ErrorKind::ConnectionAborted, Disconnected.to_string()));
-                            self.arrived.notify_all();
-                        }
-                        Err(e) => {
-                            st.dead = Some((e.kind(), e.to_string()));
-                            self.arrived.notify_all();
-                        }
+                        Ok(None) => st.dead = Some(Dead::Disconnected),
+                        Err(e) => st.dead = Some(Dead::Failed(e.kind(), e.to_string())),
                     }
+                    self.arrived.notify_all();
                 }
                 Err(TryLockError::WouldBlock) => {
                     // Someone else is reading; wait for them to deliver.
@@ -616,15 +537,39 @@ impl SuspicionTable {
         *count >= self.threshold
     }
 
+    /// The node's current run of consecutive misses.
+    pub(crate) fn misses(&self, node: NodeId) -> u32 {
+        self.counts.get(&node).copied().unwrap_or(0)
+    }
+
     /// Whether the node has at least one un-acked miss.
     pub(crate) fn suspected(&self, node: NodeId) -> bool {
-        self.counts.get(&node).copied().unwrap_or(0) > 0
+        self.misses(node) > 0
     }
 
     /// Drops a condemned (or departed) node's counter.
     pub(crate) fn forget(&mut self, node: NodeId) {
         self.counts.remove(&node);
     }
+}
+
+/// The failure detectors' nap between probe rounds: `interval` plus up
+/// to +50% jitter seeded by `seed` (no wall-clock randomness), slept in
+/// 10 ms chunks so a raised `stop` flag is noticed promptly. Returns
+/// `false` once `stop` is set, `true` after a full nap.
+pub(crate) fn jittered_nap(interval: Duration, seed: u64, stop: &AtomicBool) -> bool {
+    let half = (interval.as_micros() as u64 / 2).max(1);
+    let nap = interval + Duration::from_micros(mix64(seed) % half);
+    let mut slept = Duration::ZERO;
+    while slept < nap {
+        if stop.load(Ordering::Acquire) {
+            return false;
+        }
+        let chunk = Duration::from_millis(10).min(nap - slept);
+        std::thread::sleep(chunk);
+        slept += chunk;
+    }
+    true
 }
 
 /// Whether an error means the node itself is gone (dead, partitioned,
@@ -751,10 +696,10 @@ fn resolve(remap: &HashMap<u64, u64>, mut id: u64) -> u64 {
 ///   session, the derivation edge is shipped fire-and-forget to the
 ///   session's ring successor ([`Ring::successor_for`]), which records
 ///   it passively ([`crate::ReplicaStore`]). The home node forwards
-///   the same edges itself (the server's `Forward` plane, idempotent
-///   by sequence number), so a session stays fully replicated even
-///   when several clients drive it and each sees only a slice of the
-///   solve stream.
+///   the same edges itself (the server plane, also as `Replicate`
+///   frames; the store keeps one copy per problem id), so a session
+///   stays fully replicated even when several clients drive it and
+///   each sees only a slice of the solve stream.
 /// * **Failover** — when a node dies mid-session, the backend promotes
 ///   each affected session on its replica (the successor replays the
 ///   path log — bit-identical verdicts and models, because the solver
@@ -1175,7 +1120,7 @@ impl ClusterCore {
         self.ship_log(st, session);
         // Always ask — even with an empty local log. The server may
         // hold edges this client never saw (another client drove the
-        // session, or the home node's own Forward plane outran us);
+        // session, or the home node's own server plane outran us);
         // `Promote` returns the FULL session mapping, so those edges'
         // promoted ids land in our remap too.
         let mapping = match member.client.call(&Request::Promote { session, problems }) {
@@ -1374,7 +1319,7 @@ impl ClusterCore {
 /// the pipelined data connection, whose queue a stalled solve could
 /// block. Returns the peer's epoch, or `None` for any kind of miss.
 fn probe(addr: SocketAddr, epoch: u64, timeout: Duration) -> Option<u64> {
-    let mut client = TcpClient::connect(addr).ok()?;
+    let client = PipelinedClient::connect(addr).ok()?;
     client.set_read_timeout(Some(timeout)).ok()?;
     match client.call(&Request::Ping {
         sender: u64::MAX,
@@ -1396,20 +1341,7 @@ fn heartbeat_loop(core: Arc<ClusterCore>, interval: Duration, threshold: u32) {
         .min(Duration::from_secs(1));
     let mut suspicion = SuspicionTable::new(threshold);
     let mut tick = 0u64;
-    while !core.hb_stop.load(Ordering::Acquire) {
-        // Jittered nap (seeded — no wall-clock randomness), chunked so
-        // a dropped backend is noticed within ~10 ms.
-        let half = (interval.as_micros() as u64 / 2).max(1);
-        let nap = interval + Duration::from_micros(mix64(0xbea7 ^ tick) % half);
-        let mut slept = Duration::ZERO;
-        while slept < nap {
-            if core.hb_stop.load(Ordering::Acquire) {
-                return;
-            }
-            let chunk = Duration::from_millis(10).min(nap - slept);
-            std::thread::sleep(chunk);
-            slept += chunk;
-        }
+    while jittered_nap(interval, 0xbea7 ^ tick, &core.hb_stop) {
         tick += 1;
         let members = core.members();
         if members.is_empty() {

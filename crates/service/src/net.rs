@@ -34,10 +34,11 @@
 //!   ([`std::io::Write::write_vectored`], i.e. `writev`): the encoded
 //!   payload `Vec` is handed to the kernel where it lies instead of
 //!   being restaged through a flat `outbuf`.
-//! * **Ordering** — v2 tagged requests complete out of order, written
-//!   the moment they finish. Legacy v1 requests are answered strictly
-//!   in request order per connection (a per-connection reorder map
-//!   holds early completions), so old clients keep working unchanged.
+//! * **Ordering** — requests complete out of order, each reply written
+//!   the moment it finishes and addressed by its correlation tag alone.
+//! * **Framing errors** — a header the reactor cannot parse (untagged,
+//!   oversized) is answered with one [`Response::Error`] on the
+//!   reserved tag [`FRAMING_ERROR_TAG`], then the connection closes.
 //! * **Backpressure** — a connection whose unflushed output or
 //!   in-flight count crosses the high-water mark stops being read (its
 //!   read interest is not re-armed) until it drains, so one slow
@@ -54,11 +55,12 @@
 //! start happening beside the client traffic:
 //!
 //! * **Edge forwarding** — every successful solve of a tracked session
-//!   is forwarded by the home node itself ([`Request::Forward`]) to the
-//!   session's ring successor, idempotent by per-session sequence
-//!   number. The client's own `Replicate` fan-out still runs; the two
-//!   planes are redundant, so a session stays replicated even when only
-//!   one of its clients (or none) logs edges.
+//!   is forwarded by the home node itself, as a [`Request::Replicate`],
+//!   to the session's ring successor. The client's own `Replicate`
+//!   fan-out still runs; the successor's replica store keeps one copy
+//!   per problem id, so the two planes are redundant and a session
+//!   stays replicated even when only one of its clients (or none) logs
+//!   edges.
 //! * **Heartbeats** — a detached thread pings every peer on a jittered
 //!   timer ([`Request::Ping`]/[`Response::Pong`], carrying the
 //!   membership epoch). Three consecutive misses declare a peer dead:
@@ -80,11 +82,13 @@ use polling::{Event, Poller};
 
 use crate::bufpool::{BufferPool, FrameAssembler};
 use crate::chaos::{root_key, stable_key, ChaosAction, ChaosPolicy, PLANE_SERVER};
-use crate::client::PipelinedClient;
+use crate::client::{jittered_nap, PipelinedClient, SuspicionTable};
 use crate::pool::{CompletionQueue, PoolClient, WorkerPool};
-use crate::protocol::{clauses_to_lits, Request, Response, StatsSummary, TAGGED};
+use crate::protocol::{
+    clauses_to_lits, Request, Response, StatsSummary, FRAMING_ERROR_TAG, TAGGED,
+};
 use crate::replica::ReplicaStore;
-use crate::router::{mix64, NodeId, Ring};
+use crate::router::{NodeId, Ring};
 use crate::sharded::{ProblemId, ServiceConfig, ShardedService, SolveReply};
 use crate::stats::WorkerStats;
 
@@ -131,7 +135,7 @@ const SUSPICION_THRESHOLD: u32 = 3;
 /// connection per peer (`conns`), shared by the forward plane (worker
 /// threads) and the heartbeat thread. On the receiving node that
 /// connection is pinned to whichever reactor accepted it, so all
-/// `Forward`/`Ping` traffic from one peer rides one reactor — the
+/// `Replicate`/`Ping` traffic from one peer rides one reactor — the
 /// peer plane never straddles the front-end fan-out.
 pub(crate) struct Forwarder {
     node: NodeId,
@@ -164,11 +168,8 @@ struct ForwardInner {
     /// lineage ([`stable_key`]) so chaos decisions replay identically
     /// regardless of wire-id allocation order.
     sessions: HashMap<u64, (u64, u64)>,
-    /// Per-session `Forward` sequence counters (the receiver dedupes
-    /// by these, so the chaos harness may duplicate frames freely).
-    seqs: HashMap<u64, u64>,
     /// Consecutive missed heartbeats per peer; reset by any `Pong`.
-    suspicion: HashMap<NodeId, u32>,
+    suspicion: SuspicionTable,
     /// Fault-injection policy for the server replication plane.
     chaos: Option<Arc<ChaosPolicy>>,
 }
@@ -188,9 +189,10 @@ fn peer_conn(inner: &mut ForwardInner, peer: NodeId) -> Option<Arc<PipelinedClie
 
 /// Sends one fire-and-forget replication frame through the chaos
 /// policy: drops swallow it, duplicates send it twice (the receiver
-/// dedupes), delays sleep briefly first. `key` must identify the frame
-/// by *content* (the [`stable_key`] of its clause lineage) so the
-/// decision is replayable across runs and identical on both planes.
+/// dedupes by problem id), delays sleep briefly first. `key` must
+/// identify the frame by *content* (the [`stable_key`] of its clause
+/// lineage) so the decision is replayable across runs and identical on
+/// both planes.
 fn chaos_send(
     conn: &PipelinedClient,
     chaos: Option<&ChaosPolicy>,
@@ -225,8 +227,7 @@ impl Forwarder {
                 peers: HashMap::new(),
                 conns: HashMap::new(),
                 sessions: HashMap::new(),
-                seqs: HashMap::new(),
-                suspicion: HashMap::new(),
+                suspicion: SuspicionTable::new(SUSPICION_THRESHOLD),
                 chaos: None,
             }),
             misses: Arc::new(AtomicU64::new(0)),
@@ -248,10 +249,13 @@ impl Forwarder {
             .filter(|&&(id, _)| id != self.node)
             .map(|&(id, addr)| (id, addr))
             .collect();
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
         inner.ring = Ring::new(ids, seed);
         inner.conns.retain(|id, _| peer_map.contains_key(id));
-        inner.suspicion.retain(|id, _| peer_map.contains_key(id));
+        for gone in inner.peers.keys().filter(|id| !peer_map.contains_key(id)) {
+            inner.suspicion.forget(*gone);
+        }
         inner.peers = peer_map;
     }
 
@@ -276,7 +280,7 @@ impl Forwarder {
     /// (and registers the child for future attribution). No-op for
     /// untracked parents and single-node rings.
     fn forward_edge(&self, parent: u64, problem: u64, clauses: Vec<Vec<i64>>) {
-        let (conn, chaos, successor, session, seq, key) = {
+        let (conn, chaos, successor, session, key) = {
             let mut inner = self.inner.lock().unwrap();
             let Some(&(session, parent_key)) = inner.sessions.get(&parent) else {
                 return;
@@ -289,22 +293,15 @@ impl Forwarder {
             if successor == self.node {
                 return;
             }
-            let seq = {
-                let counter = inner.seqs.entry(session).or_insert(0);
-                let seq = *counter;
-                *counter += 1;
-                seq
-            };
             let Some(conn) = peer_conn(&mut inner, successor) else {
                 return;
             };
-            (conn, inner.chaos.clone(), successor, session, seq, key)
+            (conn, inner.chaos.clone(), successor, session, key)
         };
-        trace::instant(trace::Kind::ReplForward, session, seq);
+        trace::instant(trace::Kind::ReplForward, session, problem);
         trace::Registry::global().forwards.inc();
-        let request = Request::Forward {
+        let request = Request::Replicate {
             session,
-            seq,
             problem,
             parent,
             clauses,
@@ -383,7 +380,7 @@ impl Forwarder {
                 Some(Response::Pong { epoch, .. }) => {
                     trace::instant(trace::Kind::HbPong, peer as u64, epoch);
                     self.observe_epoch(epoch);
-                    self.inner.lock().unwrap().suspicion.insert(peer, 0);
+                    self.inner.lock().unwrap().suspicion.ack(peer);
                 }
                 _ => {
                     self.misses.fetch_add(1, Ordering::Relaxed);
@@ -391,9 +388,8 @@ impl Forwarder {
                     let (dead, count) = {
                         let mut inner = self.inner.lock().unwrap();
                         inner.conns.remove(&peer);
-                        let count = inner.suspicion.entry(peer).or_insert(0);
-                        *count += 1;
-                        (*count >= SUSPICION_THRESHOLD, *count)
+                        let dead = inner.suspicion.miss(peer);
+                        (dead, inner.suspicion.misses(peer))
                     };
                     trace::instant(trace::Kind::HbMiss, peer as u64, count as u64);
                     if dead {
@@ -428,7 +424,7 @@ impl Forwarder {
             }
             inner.peers.remove(&dead);
             inner.conns.remove(&dead);
-            inner.suspicion.remove(&dead);
+            inner.suspicion.forget(dead);
             victims
         };
         trace::instant(trace::Kind::NodeDead, dead as u64, victims.len() as u64);
@@ -441,10 +437,9 @@ impl Forwarder {
     }
 }
 
-/// The detached heartbeat loop: jittered sleeps (seeded by node id and
+/// The detached heartbeat loop: jittered naps (seeded by node id and
 /// tick, so a fleet never phase-locks) punctuated by
-/// [`Forwarder::heartbeat_round`]s. Exits when `hard_stop` is set; the
-/// sleep is chunked so shutdown stays prompt.
+/// [`Forwarder::heartbeat_round`]s. Exits when `hard_stop` is set.
 fn heartbeat_loop(
     forwarder: Arc<Forwarder>,
     service: Arc<ShardedService>,
@@ -453,19 +448,7 @@ fn heartbeat_loop(
 ) {
     let node = forwarder.node as u64;
     let mut tick = 0u64;
-    while !hard_stop.load(Ordering::Acquire) {
-        let half = (HEARTBEAT_INTERVAL.as_micros() as u64 / 2).max(1);
-        let jitter = Duration::from_micros(mix64(node << 32 ^ tick) % half);
-        let nap = HEARTBEAT_INTERVAL + jitter;
-        let mut slept = Duration::ZERO;
-        while slept < nap {
-            if hard_stop.load(Ordering::Acquire) {
-                return;
-            }
-            let chunk = Duration::from_millis(10).min(nap - slept);
-            std::thread::sleep(chunk);
-            slept += chunk;
-        }
+    while jittered_nap(HEARTBEAT_INTERVAL, node << 32 ^ tick, &hard_stop) {
         tick += 1;
         forwarder.heartbeat_round(&service, &replicas);
     }
@@ -792,56 +775,35 @@ impl Drop for Server {
     }
 }
 
-/// Where a response slots into its connection's output stream.
-enum Slot {
-    /// v2: echo this correlation tag, complete in any order.
-    Tagged(u64),
-    /// v1: the `seq`-th untagged request — completes in request order.
-    Seq(u64),
-}
-
-/// A finished solve travelling from a worker back to the reactor.
+/// A finished solve travelling from a worker back to the reactor,
+/// addressed by its connection slot and the request's correlation tag.
 struct Completion {
     idx: usize,
     gen: u64,
-    slot: Slot,
+    tag: u64,
     response: Response,
 }
 
-/// One encoded response frame awaiting the socket: the 4- or 12-byte
+/// One encoded response frame awaiting the socket: the 12-byte
 /// length/tag header and the payload it frames, written as separate
 /// [`IoSlice`]s so the encoded payload is handed to the kernel where
 /// it lies instead of being restaged through a flat output buffer.
 struct OutFrame {
     header: [u8; 12],
-    hlen: u8,
     payload: Vec<u8>,
 }
 
 impl OutFrame {
-    fn new(slot: &Slot, payload: Vec<u8>) -> OutFrame {
+    fn new(tag: u64, payload: Vec<u8>) -> OutFrame {
         let mut header = [0u8; 12];
-        let hlen = match slot {
-            Slot::Tagged(tag) => {
-                let len = (payload.len() + 8) as u32 | TAGGED;
-                header[..4].copy_from_slice(&len.to_le_bytes());
-                header[4..12].copy_from_slice(&tag.to_le_bytes());
-                12u8
-            }
-            Slot::Seq(_) => {
-                header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-                4u8
-            }
-        };
-        OutFrame {
-            header,
-            hlen,
-            payload,
-        }
+        let len = (payload.len() + 8) as u32 | TAGGED;
+        header[..4].copy_from_slice(&len.to_le_bytes());
+        header[4..].copy_from_slice(&tag.to_le_bytes());
+        OutFrame { header, payload }
     }
 
     fn total_len(&self) -> usize {
-        self.hlen as usize + self.payload.len()
+        self.header.len() + self.payload.len()
     }
 }
 
@@ -856,12 +818,6 @@ struct Conn {
     out_written: usize,
     /// Total unwritten bytes across the queue.
     out_bytes: usize,
-    /// Sequence assigned to the next untagged request.
-    v1_next_seq: u64,
-    /// Sequence whose response must be written next.
-    v1_next_flush: u64,
-    /// Early (out-of-order) completions for untagged requests.
-    v1_ready: HashMap<u64, Response>,
     /// Solves submitted to the pool, not yet completed.
     inflight: usize,
     /// Peer half-closed its send side: stop reading, flush what
@@ -880,9 +836,10 @@ impl Conn {
         self.out_bytes
     }
 
-    /// Queues one encoded response frame for scatter-gather writeout.
-    fn enqueue_frame(&mut self, slot: &Slot, response: &Response) {
-        let frame = OutFrame::new(slot, response.encode());
+    /// Queues the response to request `tag` for scatter-gather
+    /// writeout.
+    fn complete(&mut self, tag: u64, response: Response) {
+        let frame = OutFrame::new(tag, response.encode());
         self.out_bytes += frame.total_len();
         self.out.push_back(frame);
     }
@@ -898,22 +855,6 @@ impl Conn {
             }
             self.out_written -= total;
             self.out.pop_front();
-        }
-    }
-
-    /// Routes a completed response: tagged frames are written
-    /// immediately, v1 frames strictly in request order.
-    fn complete(&mut self, slot: Slot, response: Response) {
-        match slot {
-            Slot::Tagged(_) => self.enqueue_frame(&slot, &response),
-            Slot::Seq(seq) => {
-                self.v1_ready.insert(seq, response);
-                while let Some(resp) = self.v1_ready.remove(&self.v1_next_flush) {
-                    let slot = Slot::Seq(self.v1_next_flush);
-                    self.enqueue_frame(&slot, &resp);
-                    self.v1_next_flush += 1;
-                }
-            }
         }
     }
 }
@@ -1019,10 +960,7 @@ impl Reactor {
     }
 
     fn all_flushed(&self) -> bool {
-        self.conns
-            .iter()
-            .flatten()
-            .all(|c| c.pending_out() == 0 && c.v1_ready.is_empty())
+        self.conns.iter().flatten().all(|c| c.pending_out() == 0)
     }
 
     fn accept_burst(&mut self) {
@@ -1042,9 +980,6 @@ impl Reactor {
                         out: VecDeque::new(),
                         out_written: 0,
                         out_bytes: 0,
-                        v1_next_seq: 0,
-                        v1_next_flush: 0,
-                        v1_ready: HashMap::new(),
                         inflight: 0,
                         peer_closed: false,
                         broken: false,
@@ -1089,7 +1024,7 @@ impl Reactor {
             let finished = match self.conns[c.idx].as_mut() {
                 Some(conn) => {
                     conn.inflight -= 1;
-                    conn.complete(c.slot, c.response);
+                    conn.complete(c.tag, c.response);
                     Self::flush_conn(conn);
                     Self::should_drop(conn)
                 }
@@ -1151,7 +1086,7 @@ impl Reactor {
                 Vec::with_capacity(2 * conn.out.len().min(MAX_WRITE_FRAMES));
             let mut skip = conn.out_written;
             for frame in conn.out.iter().take(MAX_WRITE_FRAMES) {
-                let header = &frame.header[..frame.hlen as usize];
+                let header = &frame.header;
                 if skip < header.len() {
                     slices.push(IoSlice::new(&header[skip..]));
                     if !frame.payload.is_empty() {
@@ -1236,37 +1171,20 @@ impl Reactor {
             }
             // Decode while the frame still borrows the pool block — the
             // payload bytes never leave it on the fast path.
-            let step = {
-                let Conn {
-                    rx, v1_next_seq, ..
-                } = &mut *conn;
-                rx.next(|frame| {
-                    let slot = match frame.tag {
-                        Some(tag) => Slot::Tagged(tag),
-                        None => {
-                            let seq = *v1_next_seq;
-                            *v1_next_seq += 1;
-                            Slot::Seq(seq)
-                        }
-                    };
-                    (slot, Request::decode(frame.payload))
-                })
-            };
-            match step {
-                Ok(Some((slot, Ok(request)))) => self.dispatch(idx, slot, request),
-                Ok(Some((slot, Err(e)))) => {
-                    self.complete_inline(idx, slot, Response::Error(e.to_string()));
+            match conn
+                .rx
+                .next(|frame| (frame.tag, Request::decode(frame.payload)))
+            {
+                Ok(Some((tag, Ok(request)))) => self.dispatch(idx, tag, request),
+                Ok(Some((tag, Err(e)))) => {
+                    self.complete_inline(idx, tag, Response::Error(e.to_string()));
                 }
                 Ok(None) => break,
                 Err(e) => {
-                    // Framing is unrecoverable: answer, then close once
-                    // the error frame (and anything before it) flushes.
-                    let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                        return;
-                    };
-                    let seq = conn.v1_next_seq;
-                    conn.v1_next_seq += 1;
-                    conn.complete(Slot::Seq(seq), Response::Error(e.to_string()));
+                    // Framing is unrecoverable: answer on the reserved
+                    // tag, then close once the error frame (and anything
+                    // before it) flushes.
+                    conn.complete(FRAMING_ERROR_TAG, Response::Error(e.to_string()));
                     conn.close_after_flush = true;
                     break;
                 }
@@ -1276,7 +1194,7 @@ impl Reactor {
 
     /// Executes one decoded request: cheap ones inline, solves via
     /// the pool with a reactor-bound completion callback.
-    fn dispatch(&mut self, idx: usize, slot: Slot, request: Request) {
+    fn dispatch(&mut self, idx: usize, tag: u64, request: Request) {
         let num_shards = self.service.num_shards();
         let node = self.service.node_id();
         match request {
@@ -1287,7 +1205,7 @@ impl Reactor {
                 // completions forward their edges without the client's
                 // help (the two-client under-replication fix).
                 self.forwarder.register_root(problem, session);
-                self.complete_inline(idx, slot, Response::Root { problem });
+                self.complete_inline(idx, tag, Response::Root { problem });
             }
             Request::Release { problem } => {
                 let response = match ProblemId::from_wire_checked(problem, node, num_shards) {
@@ -1298,11 +1216,11 @@ impl Reactor {
                     }
                     Err(e) => Response::Error(e.to_string()),
                 };
-                self.complete_inline(idx, slot, response);
+                self.complete_inline(idx, tag, response);
             }
             Request::Stats => {
                 let response = Response::Stats(self.stats_summary());
-                self.complete_inline(idx, slot, response);
+                self.complete_inline(idx, tag, response);
             }
             Request::Stats2 => {
                 // Refresh the point-in-time gauges so the snapshot's
@@ -1311,17 +1229,17 @@ impl Reactor {
                 let reg = trace::Registry::global();
                 reg.resident_bytes.set(stats.resident_bytes as i64);
                 reg.live_problems.set(stats.live_problems as i64);
-                self.complete_inline(idx, slot, Response::Metrics(reg.snapshot()));
+                self.complete_inline(idx, tag, Response::Metrics(reg.snapshot()));
             }
             Request::TraceDump => {
-                self.complete_inline(idx, slot, Response::Trace(trace::drain()));
+                self.complete_inline(idx, tag, Response::Trace(trace::drain()));
             }
             Request::Shutdown => {
                 // Ack with the final stats, then drain gracefully. The
                 // flag is shared: wake every sibling reactor so each
                 // starts its own drain tick.
                 let response = Response::Stats(self.stats_summary());
-                self.complete_inline(idx, slot, response);
+                self.complete_inline(idx, tag, response);
                 self.draining.store(true, Ordering::Release);
                 for poller in self.all_pollers.iter() {
                     let _ = poller.notify();
@@ -1337,7 +1255,7 @@ impl Reactor {
                 // these fire-and-forget; the ack is discarded on
                 // arrival but keeps their tag bookkeeping clean.
                 self.replicas.record(session, problem, parent, clauses);
-                self.complete_inline(idx, slot, Response::Released);
+                self.complete_inline(idx, tag, Response::Released);
             }
             Request::Unreplicate { session, problems } => {
                 // Replica GC: the client released these problems on
@@ -1345,7 +1263,7 @@ impl Reactor {
                 // see [`crate::ReplicaStore::forget`]). Fire-and-forget
                 // like Replicate, acked the same way.
                 self.replicas.forget(session, &problems);
-                self.complete_inline(idx, slot, Response::Released);
+                self.complete_inline(idx, tag, Response::Released);
             }
             Request::Promote { session, problems } => {
                 // Failover/drain replay: rare and latency-insensitive
@@ -1358,22 +1276,7 @@ impl Reactor {
                 for &(_, new) in &mapping {
                     self.forwarder.register_root(new, session);
                 }
-                self.complete_inline(idx, slot, Response::Promoted { mapping });
-            }
-            Request::Forward {
-                session,
-                seq,
-                problem,
-                parent,
-                clauses,
-            } => {
-                // The server-fanned twin of `Replicate`: the session's
-                // home node streams its edges here. Idempotent by the
-                // per-session sequence number (chaos may duplicate) AND
-                // by problem id (the client plane ships the same edge).
-                self.replicas
-                    .record_seq(session, seq, problem, parent, clauses);
-                self.complete_inline(idx, slot, Response::Released);
+                self.complete_inline(idx, tag, Response::Promoted { mapping });
             }
             Request::Ping { sender, epoch } => {
                 let _ = sender; // diagnostic only; clients send u64::MAX
@@ -1382,14 +1285,14 @@ impl Reactor {
                     node: node as u64,
                     epoch,
                 };
-                self.complete_inline(idx, slot, response);
+                self.complete_inline(idx, tag, response);
             }
             Request::Solve { parent, clauses } => {
                 let parent_wire = parent;
                 let parent = match ProblemId::from_wire_checked(parent, node, num_shards) {
                     Ok(id) => id,
                     Err(e) => {
-                        self.complete_inline(idx, slot, Response::Error(e.to_string()));
+                        self.complete_inline(idx, tag, Response::Error(e.to_string()));
                         return;
                     }
                 };
@@ -1421,7 +1324,7 @@ impl Reactor {
                     let depth = completions.push(Completion {
                         idx,
                         gen,
-                        slot,
+                        tag,
                         response: solve_response(reply),
                     });
                     // Wake coalescing: a deeper queue means an earlier
@@ -1449,9 +1352,9 @@ impl Reactor {
         summary
     }
 
-    fn complete_inline(&mut self, idx: usize, slot: Slot, response: Response) {
+    fn complete_inline(&mut self, idx: usize, tag: u64, response: Response) {
         if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
-            conn.complete(slot, response);
+            conn.complete(tag, response);
         }
     }
 

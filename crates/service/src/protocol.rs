@@ -7,19 +7,19 @@
 //! and deliberately boring: LE fixed-width integers, `u32`-prefixed
 //! sequences, bit-packed models.
 //!
-//! ## Frame versions
+//! ## Frames
 //!
-//! * **v1 (legacy)** — header bit 31 clear: the low 31 bits are the
-//!   payload length and the payload is the bare message. Responses to
-//!   v1 requests come back in request order.
-//! * **v2 (tagged)** — header bit 31 ([`TAGGED`]) set: the payload
-//!   starts with a little-endian `u64` *correlation tag* chosen by the
-//!   client, followed by the message. The server echoes the tag on the
-//!   reply and may complete tagged requests **out of order**, which is
-//!   what lets one connection pipeline many in-flight solves.
+//! Every frame is **tagged**: header bit 31 ([`TAGGED`]) is set, the
+//! low 31 bits are the body length, and the body starts with a
+//! little-endian `u64` *correlation tag* chosen by the client, followed
+//! by the message. The server echoes the tag on the reply and may
+//! complete requests **out of order**, which is what lets one
+//! connection pipeline many in-flight solves. A header with bit 31
+//! clear is a framing error ([`ProtoError::Untagged`]).
 //!
-//! Both versions coexist on one connection; old clients keep working
-//! against new servers unchanged.
+//! Tag 0 is reserved ([`FRAMING_ERROR_TAG`]): the server answers a
+//! framing error with one [`Response::Error`] on it and then closes the
+//! connection. Clients tag their requests from 1.
 //!
 //! Clause literals travel in DIMACS convention (non-zero `i64`, sign =
 //! negation) so the protocol stays independent of the solver's internal
@@ -34,8 +34,12 @@ use lwsnap_trace::{Event, HistogramSnapshot, Kind, MetricsSnapshot};
 /// length prefixes before any allocation happens).
 pub const MAX_FRAME: u32 = 64 << 20;
 
-/// Header bit marking a v2 tagged frame.
+/// Header bit marking a tagged frame; every valid header has it set.
 pub const TAGGED: u32 = 1 << 31;
+
+/// The reserved correlation tag of the one error frame the server sends
+/// before closing a connection whose framing it could not parse.
+pub const FRAMING_ERROR_TAG: u64 = 0;
 
 /// Protocol-level decode failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +50,8 @@ pub enum ProtoError {
     BadTag(u8),
     /// A length prefix exceeded [`MAX_FRAME`] or its container.
     BadLength(u64),
+    /// A frame header with bit 31 ([`TAGGED`]) clear.
+    Untagged,
     /// A string field was not UTF-8.
     BadUtf8,
     /// A clause literal was zero (forbidden in DIMACS convention).
@@ -68,6 +74,7 @@ impl std::fmt::Display for ProtoError {
             ProtoError::Truncated => write!(f, "truncated message"),
             ProtoError::BadTag(t) => write!(f, "unknown message tag {t}"),
             ProtoError::BadLength(n) => write!(f, "implausible length {n}"),
+            ProtoError::Untagged => write!(f, "untagged frame header (bit 31 clear)"),
             ProtoError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
             ProtoError::ZeroLiteral => write!(f, "zero literal in clause"),
             ProtoError::BadShard(s) => write!(f, "shard index {s} out of range"),
@@ -118,8 +125,11 @@ pub enum Request {
     /// successor: "on the session's home node, `problem` was derived
     /// from `parent` by adding `clauses`". The receiving node records
     /// the edge in its passive replica store ([`crate::ReplicaStore`])
-    /// without solving anything; clients send these fire-and-forget
-    /// after each successful solve. Acked with [`Response::Released`].
+    /// without solving anything. Sent fire-and-forget after each
+    /// successful solve on two planes: by the client, and by the home
+    /// node itself, so a session driven by several clients is still
+    /// replicated whole. The store keeps one copy per problem id.
+    /// Acked with [`Response::Released`].
     Replicate {
         /// The session whose path log this edge extends.
         session: u64,
@@ -153,27 +163,6 @@ pub enum Request {
         session: u64,
         /// Home-node wire ids of the released problems.
         problems: Vec<u64>,
-    },
-    /// Server-to-server path-log replication: the session's HOME node
-    /// forwards the derivation edge to the ring successor itself, so a
-    /// session is replicated correctly no matter how many clients drive
-    /// it. Identical in effect to [`Request::Replicate`] but carries a
-    /// per-session sequence number assigned by the home node, making
-    /// the frame idempotent — the client-fanned and server-fanned paths
-    /// can coexist during a rollout without double-recording, and a
-    /// chaos-duplicated frame is a no-op. Acked with
-    /// [`Response::Released`].
-    Forward {
-        /// The session whose path log this edge extends.
-        session: u64,
-        /// Home-node-assigned edge sequence number (dedup key).
-        seq: u64,
-        /// Wire id of the derived problem (on its HOME node).
-        problem: u64,
-        /// Wire id of the parent it was derived from.
-        parent: u64,
-        /// The incremental constraint, DIMACS literals.
-        clauses: Vec<Vec<i64>>,
     },
     /// Liveness probe for the heartbeat/gossip layer. Sent on a
     /// jittered timer by peers (server-to-server) and routers
@@ -345,12 +334,12 @@ pub enum Response {
 // Frame I/O.
 // ---------------------------------------------------------------------
 
-/// One decoded frame: the optional v2 correlation tag plus the message
-/// payload (tag bytes already stripped).
+/// One decoded frame: the correlation tag plus the message payload
+/// (tag bytes already stripped).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// The correlation tag (`None` for legacy v1 frames).
-    pub tag: Option<u64>,
+    /// The correlation tag.
+    pub tag: u64,
     /// The message payload.
     pub payload: Vec<u8>,
 }
@@ -362,22 +351,14 @@ fn check_len(len: usize) -> Result<u32, ProtoError> {
         .ok_or(ProtoError::BadLength(len as u64))
 }
 
-/// Writes one legacy (v1) length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = check_len(payload.len())?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Writes one v2 tagged frame: header bit 31 set, payload prefixed with
+/// Writes one tagged frame: header bit 31 set, payload prefixed with
 /// the little-endian correlation tag.
 pub fn write_tagged_frame(w: &mut impl Write, tag: u64, payload: &[u8]) -> io::Result<()> {
     put_tagged_frame(w, tag, payload)?;
     w.flush()
 }
 
-/// Writes one v2 tagged frame **without flushing** — the corked form
+/// Writes one tagged frame **without flushing** — the corked form
 /// batching clients use to put a whole window of frames on a buffered
 /// writer and flush the socket once (see
 /// [`crate::PipelinedClient::submit_batch`]).
@@ -410,42 +391,19 @@ fn read_exact_or_clean_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool
     Ok(true)
 }
 
-/// Reads one legacy (v1) frame. `Ok(None)` on clean EOF at a frame
-/// boundary (peer closed the connection); a v2 header here is an error.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    match read_any_frame(r)? {
-        None => Ok(None),
-        Some(Frame { tag: None, payload }) => Ok(Some(payload)),
-        Some(Frame { tag: Some(_), .. }) => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unexpected tagged frame on a v1 stream",
-        )),
-    }
-}
-
-/// Reads one frame of either version. `Ok(None)` on clean EOF at a
-/// frame boundary; an EOF inside a frame (even inside the 4-byte
-/// header) is an `UnexpectedEof` error.
-pub fn read_any_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
+/// Reads one frame. `Ok(None)` on clean EOF at a frame boundary (peer
+/// closed the connection); an EOF inside a frame (even inside the
+/// 4-byte header) is an `UnexpectedEof` error.
+pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     let mut header = [0u8; 4];
     if !read_exact_or_clean_eof(r, &mut header)? {
         return Ok(None);
     }
-    let word = u32::from_le_bytes(header);
-    let tagged = word & TAGGED != 0;
-    let len = word & !TAGGED;
-    if len > MAX_FRAME || (tagged && len < 8) {
-        return Err(ProtoError::BadLength(len as u64).into());
-    }
-    let mut payload = vec![0u8; len as usize];
+    let total = frame_len(&header)?.expect("a whole header");
+    let mut payload = vec![0u8; total - 4];
     r.read_exact(&mut payload)?;
-    let tag = if tagged {
-        let tag = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        payload.drain(..8);
-        Some(tag)
-    } else {
-        None
-    };
+    let tag = u64::from_le_bytes(payload[..8].try_into().unwrap());
+    payload.drain(..8);
     Ok(Some(Frame { tag, payload }))
 }
 
@@ -456,8 +414,8 @@ pub fn read_any_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
 /// never staged through an intermediate `Vec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameRef<'a> {
-    /// The correlation tag (`None` for legacy v1 frames).
-    pub tag: Option<u64>,
+    /// The correlation tag.
+    pub tag: u64,
     /// The message payload, borrowed from the receive buffer.
     pub payload: &'a [u8],
 }
@@ -475,15 +433,19 @@ impl FrameRef<'_> {
 /// Total size (header + body) of the frame starting at the front of
 /// `buf`, or `Ok(None)` if fewer than 4 header bytes are present yet.
 /// The spill path of the pooled reader uses this to copy *exactly* the
-/// bytes a block-spanning frame still needs, and not one more.
+/// bytes a block-spanning frame still needs, and not one more. A header
+/// without the [`TAGGED`] bit is rejected: it is input from outside the
+/// program, and no valid peer sends one.
 pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, ProtoError> {
     if buf.len() < 4 {
         return Ok(None);
     }
     let word = u32::from_le_bytes(buf[..4].try_into().unwrap());
-    let tagged = word & TAGGED != 0;
+    if word & TAGGED == 0 {
+        return Err(ProtoError::Untagged);
+    }
     let len = (word & !TAGGED) as usize;
-    if len > MAX_FRAME as usize || (tagged && len < 8) {
+    if len > MAX_FRAME as usize || len < 8 {
         return Err(ProtoError::BadLength(len as u64));
     }
     Ok(Some(4 + len))
@@ -502,17 +464,14 @@ pub fn parse_frame_ref(buf: &[u8]) -> Result<Option<(FrameRef<'_>, usize)>, Prot
     if buf.len() < total {
         return Ok(None);
     }
-    let body = &buf[4..total];
-    let tagged = u32::from_le_bytes(buf[..4].try_into().unwrap()) & TAGGED != 0;
-    let (tag, payload) = if tagged {
-        (
-            Some(u64::from_le_bytes(body[..8].try_into().unwrap())),
-            &body[8..],
-        )
-    } else {
-        (None, body)
-    };
-    Ok(Some((FrameRef { tag, payload }, total)))
+    let tag = u64::from_le_bytes(buf[4..12].try_into().unwrap());
+    Ok(Some((
+        FrameRef {
+            tag,
+            payload: &buf[12..total],
+        },
+        total,
+    )))
 }
 
 /// [`parse_frame_ref`] with an owning payload, for callers that keep
@@ -705,20 +664,6 @@ impl Request {
                     put_u64(&mut out, p);
                 }
             }
-            Request::Forward {
-                session,
-                seq,
-                problem,
-                parent,
-                clauses,
-            } => {
-                out.push(9);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, *problem);
-                put_u64(&mut out, *parent);
-                encode_clauses(&mut out, clauses);
-            }
             Request::Ping { sender, epoch } => {
                 out.push(10);
                 put_u64(&mut out, *sender);
@@ -761,13 +706,6 @@ impl Request {
                     let n = d.count(8)?;
                     (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?
                 },
-            },
-            9 => Request::Forward {
-                session: d.u64()?,
-                seq: d.u64()?,
-                problem: d.u64()?,
-                parent: d.u64()?,
-                clauses: decode_clauses(&mut d)?,
             },
             10 => Request::Ping {
                 sender: d.u64()?,
@@ -1101,20 +1039,6 @@ mod tests {
             session: 1,
             problems: vec![],
         });
-        roundtrip_request(Request::Forward {
-            session: 42,
-            seq: 17,
-            problem: 1 << 48 | 7 << 32 | 3,
-            parent: 1 << 48 | 7 << 32,
-            clauses: vec![vec![1, -2], vec![3]],
-        });
-        roundtrip_request(Request::Forward {
-            session: 0,
-            seq: u64::MAX,
-            problem: 0,
-            parent: 0,
-            clauses: vec![],
-        });
         roundtrip_request(Request::Ping {
             sender: 3,
             epoch: 12,
@@ -1284,21 +1208,25 @@ mod tests {
     #[test]
     fn frames_roundtrip_over_a_buffer() {
         let mut wire = Vec::new();
-        let reqs = [
-            Request::Root { session: 1 },
-            Request::Solve {
-                parent: 0,
-                clauses: vec![vec![1, 2]],
-            },
-            Request::Shutdown,
+        let frames = [
+            (1, Request::Root { session: 1 }),
+            (
+                42,
+                Request::Solve {
+                    parent: 0,
+                    clauses: vec![vec![1, 2]],
+                },
+            ),
+            (u64::MAX, Request::Shutdown),
         ];
-        for req in &reqs {
-            write_frame(&mut wire, &req.encode()).unwrap();
+        for (tag, req) in &frames {
+            write_tagged_frame(&mut wire, *tag, &req.encode()).unwrap();
         }
         let mut r = wire.as_slice();
-        for req in &reqs {
-            let payload = read_frame(&mut r).unwrap().expect("frame present");
-            assert_eq!(Request::decode(&payload).unwrap(), *req);
+        for (tag, req) in &frames {
+            let frame = read_frame(&mut r).unwrap().expect("frame present");
+            assert_eq!(frame.tag, *tag);
+            assert_eq!(Request::decode(&frame.payload).unwrap(), *req);
         }
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
     }
@@ -1333,39 +1261,40 @@ mod tests {
 
     #[test]
     fn tagged_frames_roundtrip_and_interleave_with_v1() {
+        // Tagged frames decode up to an interleaved legacy v1 frame
+        // (header bit 31 clear), which is refused rather than read.
         let mut wire = Vec::new();
         write_tagged_frame(&mut wire, 42, &Request::Stats.encode()).unwrap();
-        write_frame(&mut wire, &Request::Shutdown.encode()).unwrap();
         write_tagged_frame(&mut wire, u64::MAX, &Request::Root { session: 9 }.encode()).unwrap();
+        let v1_at = wire.len();
+        let v1 = Request::Shutdown.encode();
+        wire.extend_from_slice(&(v1.len() as u32).to_le_bytes());
+        wire.extend_from_slice(&v1);
         let mut r = wire.as_slice();
-        let f1 = read_any_frame(&mut r).unwrap().unwrap();
-        assert_eq!(f1.tag, Some(42));
+        let f1 = read_frame(&mut r).unwrap().unwrap();
+        assert_eq!(f1.tag, 42);
         assert_eq!(Request::decode(&f1.payload), Ok(Request::Stats));
-        let f2 = read_any_frame(&mut r).unwrap().unwrap();
-        assert_eq!(f2.tag, None);
-        assert_eq!(Request::decode(&f2.payload), Ok(Request::Shutdown));
-        let f3 = read_any_frame(&mut r).unwrap().unwrap();
-        assert_eq!(f3.tag, Some(u64::MAX));
+        let f2 = read_frame(&mut r).unwrap().unwrap();
+        assert_eq!(f2.tag, u64::MAX);
         assert_eq!(
-            Request::decode(&f3.payload),
+            Request::decode(&f2.payload),
             Ok(Request::Root { session: 9 })
         );
-        assert_eq!(read_any_frame(&mut r).unwrap(), None, "clean EOF");
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(parse_frame(&wire[v1_at..]), Err(ProtoError::Untagged));
     }
 
     #[test]
     fn truncated_header_is_an_error_not_clean_eof() {
-        // v1 read path: 2 of 4 header bytes then EOF must be an error.
+        // 2 of 4 header bytes then EOF must be an error.
         let wire = [7u8, 0];
         let mut r = wire.as_slice();
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        // Same through read_any_frame.
-        let mut r = wire.as_slice();
-        assert!(read_any_frame(&mut r).is_err());
         // Truncated payload mid-frame too.
         let mut wire = Vec::new();
-        write_frame(&mut wire, &Request::Stats.encode()).unwrap();
+        write_tagged_frame(&mut wire, 1, &Request::Stats.encode()).unwrap();
         wire.pop();
         let mut r = wire.as_slice();
         let err = read_frame(&mut r).unwrap_err();
@@ -1376,7 +1305,7 @@ mod tests {
     fn incremental_parser_matches_blocking_reader() {
         let mut wire = Vec::new();
         write_tagged_frame(&mut wire, 7, &Request::Stats.encode()).unwrap();
-        write_frame(&mut wire, &Request::Shutdown.encode()).unwrap();
+        write_tagged_frame(&mut wire, 8, &Request::Shutdown.encode()).unwrap();
         // Every prefix short of the first full frame yields None.
         let first_len = 4 + 8 + Request::Stats.encode().len();
         for cut in 0..first_len {
@@ -1387,29 +1316,32 @@ mod tests {
             );
         }
         let (f1, used1) = parse_frame(&wire).unwrap().unwrap();
-        assert_eq!(f1.tag, Some(7));
+        assert_eq!(f1.tag, 7);
         assert_eq!(used1, first_len);
         let (f2, used2) = parse_frame(&wire[used1..]).unwrap().unwrap();
-        assert_eq!(f2.tag, None);
+        assert_eq!(f2.tag, 8);
         assert_eq!(Request::decode(&f2.payload), Ok(Request::Shutdown));
         assert_eq!(used1 + used2, wire.len());
+        let mut r = wire.as_slice();
+        assert_eq!(read_frame(&mut r).unwrap(), Some(f1));
+        assert_eq!(read_frame(&mut r).unwrap(), Some(f2));
     }
 
     #[test]
     fn tagged_header_shorter_than_its_tag_is_rejected() {
-        // A v2 header whose length can't even hold the 8-byte tag.
+        // A header whose length can't even hold the 8-byte tag.
         let word = TAGGED | 3;
         let mut wire = word.to_le_bytes().to_vec();
         wire.extend_from_slice(&[0, 0, 0]);
         assert!(parse_frame(&wire).is_err());
         let mut r = wire.as_slice();
-        assert!(read_any_frame(&mut r).is_err());
+        assert!(read_frame(&mut r).is_err());
     }
 
     #[test]
     fn hostile_length_prefix_is_rejected_before_allocation() {
         let mut wire = Vec::new();
-        wire.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+        wire.extend_from_slice(&((MAX_FRAME + 1) | TAGGED).to_le_bytes());
         let mut r = wire.as_slice();
         assert!(read_frame(&mut r).is_err());
         // An absurd element count inside a tiny payload is caught too.

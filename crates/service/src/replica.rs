@@ -10,12 +10,10 @@
 //! the solving cost of replication is deferred entirely to failover,
 //! which is the rare path.
 //!
-//! Edges arrive on two planes that may overlap during a rollout: the
-//! client fans [`crate::Request::Replicate`] frames, and the session's
-//! home node fans [`crate::Request::Forward`] frames itself. Both are
-//! idempotent — `Forward` by its home-assigned sequence number, and
-//! every record by the derived problem's wire id — so the two planes
-//! (and chaos-duplicated frames) never double-count.
+//! Edges arrive as [`crate::Request::Replicate`] frames on two planes:
+//! the client fans them, and so does the session's home node itself.
+//! Recording is idempotent by the derived problem's wire id, so the two
+//! planes (and chaos-duplicated frames) never double-count.
 //!
 //! On failover (or a planned drain) the client sends
 //! [`crate::Request::Promote`]; [`ReplicaStore::promote`] then walks
@@ -107,8 +105,6 @@ struct SessionLog {
     /// it. Survives compaction, so parent pointers and promotions keep
     /// resolving interior ids of composite edges.
     index: HashMap<u64, u64>,
-    /// Home-node `Forward` sequence numbers already applied.
-    seqs: HashSet<u64>,
     /// Released problems whose segments are *retained* because a live
     /// descendant's replay path still runs through them. When the
     /// descendants are forgotten too, their edges cascade out
@@ -172,26 +168,21 @@ impl ReplicaStore {
     /// replication planes never double-count.
     pub fn record(&self, session: u64, problem: u64, parent: u64, clauses: Vec<Vec<i64>>) {
         let mut inner = self.inner.lock().unwrap();
-        record_locked(&mut inner, session, problem, parent, clauses);
-    }
-
-    /// Records one server-forwarded edge, idempotent by the home node's
-    /// per-session sequence number: returns `false` (and records
-    /// nothing) if `seq` was already applied — a duplicated frame.
-    pub fn record_seq(
-        &self,
-        session: u64,
-        seq: u64,
-        problem: u64,
-        parent: u64,
-        clauses: Vec<Vec<i64>>,
-    ) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        if !inner.sessions.entry(session).or_default().seqs.insert(seq) {
-            return false;
+        let st = &mut *inner;
+        let log = st.sessions.entry(session).or_default();
+        if log.index.contains_key(&problem) {
+            return;
         }
-        record_locked(&mut inner, session, problem, parent, clauses);
-        true
+        let edge = Edge {
+            parent,
+            segments: vec![Segment { problem, clauses }],
+        };
+        st.bytes += edge.bytes();
+        log.index.insert(problem, problem);
+        log.edges.insert(problem, edge);
+        if st.budget.is_some_and(|b| st.bytes > b) {
+            compact_locked(st);
+        }
     }
 
     /// Number of stored edges for `session` (composite edges count
@@ -249,7 +240,6 @@ impl ReplicaStore {
         let SessionLog {
             edges,
             index,
-            seqs: _,
             tombstones,
         } = log;
         tombstones.extend(problems.iter().copied());
@@ -345,31 +335,6 @@ impl ReplicaStore {
             .promotions
             .add(mapping.len() as u64);
         mapping
-    }
-}
-
-/// The unlocked record path shared by [`ReplicaStore::record`] and
-/// [`ReplicaStore::record_seq`].
-fn record_locked(
-    st: &mut StoreInner,
-    session: u64,
-    problem: u64,
-    parent: u64,
-    clauses: Vec<Vec<i64>>,
-) {
-    let log = st.sessions.entry(session).or_default();
-    if log.index.contains_key(&problem) {
-        return;
-    }
-    let edge = Edge {
-        parent,
-        segments: vec![Segment { problem, clauses }],
-    };
-    st.bytes += edge.bytes();
-    log.index.insert(problem, problem);
-    log.edges.insert(problem, edge);
-    if st.budget.is_some_and(|b| st.bytes > b) {
-        compact_locked(st);
     }
 }
 
@@ -582,23 +547,24 @@ mod tests {
     }
 
     #[test]
-    fn forward_frames_are_idempotent_by_seq() {
+    fn records_are_idempotent_by_problem_id() {
         let store = ReplicaStore::new();
         let (root, a, b) = (wire(0, 0, 0), wire(0, 0, 1), wire(0, 0, 2));
-        assert!(store.record_seq(3, 0, a, root, vec![vec![1]]));
+        // The server plane's copy of an edge lands ...
+        store.record(3, a, root, vec![vec![1]]);
         let (bytes, ..) = store.counters();
-        // A chaos-duplicated frame: same seq, applied nothing.
-        assert!(!store.record_seq(3, 0, a, root, vec![vec![1]]));
-        assert_eq!(store.counters().0, bytes);
-        assert_eq!(store.session_edges(3), 1);
-        // The client-fanned copy of the same edge: new plane, no seq,
-        // deduplicated by problem id instead.
+        // ... and the client plane's copy of the same edge, or a
+        // chaos-duplicated frame, is the same problem id: stored once,
+        // no bytes added.
+        store.record(3, a, root, vec![vec![1]]);
         store.record(3, a, root, vec![vec![1]]);
         assert_eq!(store.counters().0, bytes);
         assert_eq!(store.session_edges(3), 1);
-        // A genuinely new edge under a new seq lands.
-        assert!(store.record_seq(3, 1, b, a, vec![vec![2]]));
+        assert_eq!(store.session_problems(3), vec![a]);
+        // A genuinely new edge lands.
+        store.record(3, b, a, vec![vec![2]]);
         assert_eq!(store.session_edges(3), 2);
+        assert!(store.counters().0 > bytes);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Protocol robustness: property-based round-trips for both frame
-//! versions (legacy v1 and tagged v2), decode hardening against
-//! truncated, oversized and garbage payloads, and the zero-copy
+//! Protocol robustness: property-based round-trips of tagged frames,
+//! rejection of untagged headers, decode hardening against truncated,
+//! oversized and garbage payloads, and the zero-copy
 //! borrowed-payload assembler: arbitrarily split reads — mid-header,
 //! mid-payload, across pool-block boundaries — must reassemble
 //! bit-identically to a whole-buffer parse, and every pooled block
@@ -10,8 +10,8 @@ use std::io::Read;
 
 use lwsnap_service::bufpool::{BufferPool, FrameAssembler, BLOCK_SIZE};
 use lwsnap_service::protocol::{
-    parse_frame, read_any_frame, read_frame, write_frame, write_tagged_frame, Frame, Request,
-    Response, StatsSummary, MAX_FRAME, TAGGED,
+    parse_frame, read_frame, write_tagged_frame, Frame, ProtoError, Request, Response,
+    StatsSummary, MAX_FRAME, TAGGED,
 };
 use proptest::prelude::*;
 
@@ -42,8 +42,8 @@ impl Read for ChunkedReader<'_> {
     }
 }
 
-/// A decoded frame: its tag (v2 only) and an owned copy of its payload.
-type DecodedFrame = (Option<u64>, Vec<u8>);
+/// A decoded frame: its tag and an owned copy of its payload.
+type DecodedFrame = (u64, Vec<u8>);
 
 /// Runs `wire` through a [`FrameAssembler`] fed by chunked reads;
 /// returns the decoded frames and the byte count the assembler copied.
@@ -76,6 +76,13 @@ fn assemble_chunked(wire: &[u8], chunks: &[usize]) -> (Vec<DecodedFrame>, u64) {
     }
     assert_eq!(asm.pending(), 0, "no bytes left behind");
     (out, asm.copied_bytes())
+}
+
+/// Appends one frame of the retired untagged format: a bare `u32`
+/// length word (bit 31 clear), then the payload.
+fn write_untagged(wire: &mut Vec<u8>, payload: &[u8]) {
+    wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    wire.extend_from_slice(payload);
 }
 
 /// The whole-buffer reference parse the assembler must match.
@@ -153,7 +160,7 @@ fn response_strategy() -> impl Strategy<Value = Response> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// v2 tagged frames round-trip through both the blocking reader and
+    /// Tagged frames round-trip through both the blocking reader and
     /// the incremental parser, tag preserved exactly.
     #[test]
     fn tagged_request_frames_roundtrip(req in request_strategy(), tag in any::<u64>()) {
@@ -161,37 +168,34 @@ proptest! {
         write_tagged_frame(&mut wire, tag, &req.encode()).unwrap();
 
         let mut r = wire.as_slice();
-        let frame = read_any_frame(&mut r).unwrap().unwrap();
-        prop_assert_eq!(frame.tag, Some(tag));
+        let frame = read_frame(&mut r).unwrap().unwrap();
+        prop_assert_eq!(frame.tag, tag);
         prop_assert_eq!(Request::decode(&frame.payload), Ok(req.clone()));
 
         let (frame, used) = parse_frame(&wire).unwrap().unwrap();
         prop_assert_eq!(used, wire.len());
-        prop_assert_eq!(frame.tag, Some(tag));
+        prop_assert_eq!(frame.tag, tag);
         prop_assert_eq!(Request::decode(&frame.payload), Ok(req));
     }
 
-    /// Responses round-trip under both frame versions; the v1 path is
-    /// byte-identical to what the pre-tagging protocol produced.
+    /// Responses round-trip through a tagged frame, tag and payload
+    /// byte-exact.
     #[test]
-    fn response_frames_roundtrip_both_versions(resp in response_strategy(), tag in any::<u64>()) {
+    fn response_frames_roundtrip(resp in response_strategy(), tag in any::<u64>()) {
         let payload = resp.encode();
         prop_assert_eq!(Response::decode(&payload), Ok(resp.clone()));
 
-        let mut v1 = Vec::new();
-        write_frame(&mut v1, &payload).unwrap();
-        let mut r = v1.as_slice();
-        prop_assert_eq!(read_frame(&mut r).unwrap().unwrap(), payload.clone());
-
-        let mut v2 = Vec::new();
-        write_tagged_frame(&mut v2, tag, &payload).unwrap();
-        let mut r = v2.as_slice();
-        let frame = read_any_frame(&mut r).unwrap().unwrap();
-        prop_assert_eq!(frame, Frame { tag: Some(tag), payload });
+        let mut wire = Vec::new();
+        write_tagged_frame(&mut wire, tag, &payload).unwrap();
+        let mut r = wire.as_slice();
+        let frame = read_frame(&mut r).unwrap().unwrap();
+        prop_assert_eq!(frame, Frame { tag, payload });
     }
 
-    /// A mixed v1/v2 frame sequence over one buffer parses back in
-    /// order, each frame keeping its version.
+    /// A stream mixing tagged frames with frames of the retired
+    /// untagged format parses in order up to the first untagged header,
+    /// which is rejected in place — by the incremental parser and the
+    /// blocking reader alike — never skipped or misread as a payload.
     #[test]
     fn mixed_version_streams_parse_in_order(
         frames in proptest::collection::vec((request_strategy(), any::<u64>(), any::<bool>()), 1..6)
@@ -201,35 +205,70 @@ proptest! {
             if *tagged {
                 write_tagged_frame(&mut wire, *tag, &req.encode()).unwrap();
             } else {
-                write_frame(&mut wire, &req.encode()).unwrap();
+                write_untagged(&mut wire, &req.encode());
             }
         }
         let mut pos = 0usize;
+        let mut r = wire.as_slice();
         for (req, tag, tagged) in &frames {
+            if !*tagged {
+                prop_assert_eq!(parse_frame(&wire[pos..]), Err(ProtoError::Untagged));
+                prop_assert!(read_frame(&mut r).is_err());
+                break;
+            }
             let (frame, used) = parse_frame(&wire[pos..]).unwrap().unwrap();
             pos += used;
-            prop_assert_eq!(frame.tag, tagged.then_some(*tag));
+            prop_assert_eq!(frame.tag, *tag);
             prop_assert_eq!(Request::decode(&frame.payload), Ok(req.clone()));
+            prop_assert_eq!(read_frame(&mut r).unwrap(), Some(frame));
         }
-        prop_assert_eq!(pos, wire.len());
+        let all_tagged = frames.iter().all(|&(_, _, tagged)| tagged);
+        prop_assert_eq!(pos == wire.len(), all_tagged);
+    }
+
+    /// Any header with bit 31 clear is rejected — by the incremental
+    /// parser, the blocking reader and the pooled assembler — whatever
+    /// its length word claims and whatever bytes follow it. Tagged
+    /// frames in front of it still come out first.
+    #[test]
+    fn untagged_headers_are_rejected(
+        word in 0u32..TAGGED,
+        tail in proptest::collection::vec(any::<u8>(), 0..32),
+        lead in proptest::collection::vec((request_strategy(), any::<u64>()), 0..3),
+    ) {
+        let mut bad = word.to_le_bytes().to_vec();
+        bad.extend_from_slice(&tail);
+        prop_assert_eq!(parse_frame(&bad), Err(ProtoError::Untagged));
+        let mut r = bad.as_slice();
+        let err = read_frame(&mut r).unwrap_err();
+        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+        let mut wire = Vec::new();
+        for (req, tag) in &lead {
+            write_tagged_frame(&mut wire, *tag, &req.encode()).unwrap();
+        }
+        wire.extend_from_slice(&bad);
+        let mut asm = FrameAssembler::new(BufferPool::new());
+        let mut r = wire.as_slice();
+        while asm.fill(&mut r).unwrap() > 0 {}
+        for (_, tag) in &lead {
+            prop_assert_eq!(asm.next(|f| f.tag), Ok(Some(*tag)));
+        }
+        prop_assert_eq!(asm.next(|f| f.tag), Err(ProtoError::Untagged));
     }
 
     /// Truncating a frame at ANY byte boundary must never decode as a
     /// complete frame: the incremental parser asks for more bytes and
     /// the blocking reader reports UnexpectedEof (clean EOF only at
-    /// offset zero). Holds for both versions.
+    /// offset zero).
     #[test]
-    fn truncation_never_yields_a_frame(req in request_strategy(), tag in any::<u64>(), tagged in any::<bool>()) {
+    fn truncation_never_yields_a_frame(req in request_strategy(), tag in any::<u64>()) {
         let mut wire = Vec::new();
-        if tagged {
-            write_tagged_frame(&mut wire, tag, &req.encode()).unwrap();
-        } else {
-            write_frame(&mut wire, &req.encode()).unwrap();
-        }
+        write_tagged_frame(&mut wire, tag, &req.encode()).unwrap();
         for cut in 0..wire.len() {
             prop_assert_eq!(parse_frame(&wire[..cut]).unwrap(), None, "cut at {}", cut);
             let mut r = &wire[..cut];
-            match read_any_frame(&mut r) {
+            match read_frame(&mut r) {
                 Ok(None) => prop_assert_eq!(cut, 0, "clean EOF only at a frame boundary"),
                 Ok(Some(_)) => prop_assert!(false, "truncated frame decoded at {}", cut),
                 Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
@@ -237,8 +276,8 @@ proptest! {
         }
     }
 
-    /// Oversized length words are rejected up front, in both versions,
-    /// before any payload allocation happens.
+    /// Oversized length words are rejected up front, with or without
+    /// the tag bit, before any payload allocation happens.
     #[test]
     fn oversized_headers_are_rejected(extra in 1u32..1024, tagged in any::<bool>()) {
         let len = MAX_FRAME + extra;
@@ -247,7 +286,7 @@ proptest! {
         wire.extend_from_slice(&[0u8; 16]);
         prop_assert!(parse_frame(&wire).is_err());
         let mut r = wire.as_slice();
-        prop_assert!(read_any_frame(&mut r).is_err());
+        prop_assert!(read_frame(&mut r).is_err());
     }
 
     /// Garbage payloads never decode successfully into a request or
@@ -263,21 +302,17 @@ proptest! {
         }
     }
 
-    /// Any chunking of a mixed v1/v2 stream — cuts mid-header,
-    /// mid-payload, wherever the cycle lands — reassembles through the
-    /// pooled assembler bit-identically to a whole-buffer parse.
+    /// Any chunking of a frame stream — cuts mid-header, mid-payload,
+    /// wherever the cycle lands — reassembles through the pooled
+    /// assembler bit-identically to a whole-buffer parse.
     #[test]
     fn split_reads_reassemble_bit_identically(
-        frames in proptest::collection::vec((request_strategy(), any::<u64>(), any::<bool>()), 1..8),
+        frames in proptest::collection::vec((request_strategy(), any::<u64>()), 1..8),
         chunks in proptest::collection::vec(1usize..4096, 1..12),
     ) {
         let mut wire = Vec::new();
-        for (req, tag, tagged) in &frames {
-            if *tagged {
-                write_tagged_frame(&mut wire, *tag, &req.encode()).unwrap();
-            } else {
-                write_frame(&mut wire, &req.encode()).unwrap();
-            }
+        for (req, tag) in &frames {
+            write_tagged_frame(&mut wire, *tag, &req.encode()).unwrap();
         }
         let expect = parse_whole(&wire);
         let (got, _copied) = assemble_chunked(&wire, &chunks);
@@ -317,12 +352,12 @@ proptest! {
         let mut wire = Vec::new();
         // A small leading frame shifts the big frame's header off the
         // block origin, so the length word itself can straddle blocks.
-        write_frame(&mut wire, &vec![0xab; lead]).unwrap();
+        write_tagged_frame(&mut wire, !tag, &vec![0xab; lead]).unwrap();
         write_tagged_frame(&mut wire, tag, &payload).unwrap();
         let (got, copied) = assemble_chunked(&wire, &[chunk]);
         prop_assert_eq!(got.len(), 2);
         prop_assert_eq!(got[0].1.len(), lead);
-        prop_assert_eq!(got[1].0, Some(tag));
+        prop_assert_eq!(got[1].0, tag);
         prop_assert_eq!(&got[1].1, &payload);
         if wire.len() > BLOCK_SIZE {
             prop_assert!(copied > 0, "a block-spanning frame must spill");

@@ -118,7 +118,7 @@ proptest! {
 /// driven by two `ClusterBackend`s in alternation leaves each client
 /// holding only HALF the path log (a client does not track edges it
 /// did not drive), so client-fanned replication alone cannot replay the
-/// whole session. The home node's own `Forward` plane carries every
+/// whole session. The home node's own server plane carries every
 /// edge regardless of who drove it: kill the home, and BOTH clients
 /// fail over to bit-identical verdicts and witnesses — through ids the
 /// other client minted.

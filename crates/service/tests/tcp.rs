@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lwsnap_service::{
-    protocol, Disconnected, PipelinedClient, Response, Server, ServiceConfig, ShardedService,
-    SolverBackend, TcpClient,
+    protocol, Disconnected, PipelinedClient, Request, Response, Server, ServiceConfig,
+    ShardedService, SolverBackend,
 };
 
 fn assert_model_satisfies(model: &[bool], stack: &[Vec<i64>]) {
@@ -16,6 +16,33 @@ fn assert_model_satisfies(model: &[bool], stack: &[Vec<i64>]) {
         lwsnap_solver::model_satisfies(&protocol::clauses_to_lits(stack), model),
         "stack {stack:?} unsatisfied by {model:?}"
     );
+}
+
+/// One raw `Solve` exchange on wire ids: the server's reply, `Solved`
+/// or `Error`, exactly as it came off the wire.
+fn solve(client: &PipelinedClient, parent: u64, clauses: &[Vec<i64>]) -> Response {
+    client
+        .call(&Request::Solve {
+            parent,
+            clauses: clauses.to_vec(),
+        })
+        .unwrap()
+}
+
+/// One raw `Release` exchange: `Released`, or the server's `Error`.
+fn release(client: &PipelinedClient, problem: u64) -> Response {
+    client.call(&Request::Release { problem }).unwrap()
+}
+
+fn root(client: &PipelinedClient, session: u64) -> u64 {
+    client.session_root(session).unwrap().to_wire()
+}
+
+fn error_message(response: Response) -> String {
+    match response {
+        Response::Error(msg) => msg,
+        other => panic!("expected an error response, got {other:?}"),
+    }
 }
 
 #[test]
@@ -26,16 +53,15 @@ fn tcp_session_roundtrip_with_verification() {
     let clients: Vec<_> = (0..4u64)
         .map(|session| {
             std::thread::spawn(move || {
-                let mut client = TcpClient::connect(addr).unwrap();
-                let root = client.session_root(session).unwrap();
+                let client = PipelinedClient::connect(addr).unwrap();
                 let mut stack: Vec<Vec<i64>> = Vec::new();
-                let mut cur = root;
+                let mut cur = root(&client, session);
                 for step in 0..5 {
                     // A chain of satisfiable constraints unique per session.
                     let v = (session * 5 + step + 1) as i64;
                     let clauses = vec![vec![v, v + 1], vec![-v, v + 1]];
                     stack.extend(clauses.clone());
-                    let response = client.solve(cur, &clauses).unwrap();
+                    let response = solve(&client, cur, &clauses);
                     let Response::Solved {
                         problem,
                         sat,
@@ -57,7 +83,7 @@ fn tcp_session_roundtrip_with_verification() {
         c.join().unwrap();
     }
 
-    let mut client = TcpClient::connect(addr).unwrap();
+    let client = PipelinedClient::connect(addr).unwrap();
     let stats = client.stats().unwrap();
     assert_eq!(stats.shards, 4);
     assert_eq!(stats.queries, 20, "4 sessions × 5 queries");
@@ -74,14 +100,14 @@ fn tcp_session_roundtrip_with_verification() {
 fn tcp_surfaces_dead_references_and_eviction() {
     let config = ServiceConfig::new(2).with_snapshot_capacity(2);
     let server = Server::start("127.0.0.1:0", config, 2).unwrap();
-    let mut client = TcpClient::connect(server.local_addr()).unwrap();
+    let client = PipelinedClient::connect(server.local_addr()).unwrap();
 
-    let root = client.session_root(7).unwrap();
+    let root = root(&client, 7);
     // March a chain past the capacity so early nodes get evicted.
     let mut refs = vec![root];
     let mut cur = root;
     for v in 1..=5i64 {
-        let Response::Solved { problem, sat, .. } = client.solve(cur, &[vec![v]]).unwrap() else {
+        let Response::Solved { problem, sat, .. } = solve(&client, cur, &[vec![v]]) else {
             panic!("expected Solved");
         };
         assert!(sat);
@@ -89,7 +115,7 @@ fn tcp_surfaces_dead_references_and_eviction() {
         cur = problem;
     }
     // Query an early (evicted) node: still answers, flags the replay.
-    let Response::Solved { sat, rederived, .. } = client.solve(refs[1], &[vec![6]]).unwrap() else {
+    let Response::Solved { sat, rederived, .. } = solve(&client, refs[1], &[vec![6]]) else {
         panic!("expected Solved");
     };
     assert!(sat);
@@ -103,26 +129,23 @@ fn tcp_surfaces_dead_references_and_eviction() {
     // error (satellite: no silent acceptance of arbitrary u64s); one
     // naming a different cluster NODE is the typed routing error ...
     let bad_shard = 0xbeefu64 << 32 | 1; // node 0, shard 0xbeef
-    let err = client.release(bad_shard).unwrap_err();
+    let msg = error_message(release(&client, bad_shard));
+    assert!(msg.contains("shard index"), "expected BadShard, got: {msg}");
+    let msg = error_message(solve(&client, bad_shard, &[vec![1]]));
+    assert!(msg.contains("shard index"));
+    let msg = error_message(release(&client, 0xdead_beef_0000_0001));
     assert!(
-        err.to_string().contains("shard index"),
-        "expected BadShard, got: {err}"
+        msg.contains("routed to node 57005"),
+        "expected WrongNode, got: {msg}"
     );
-    let err = client.solve(bad_shard, &[vec![1]]).unwrap_err();
-    assert!(err.to_string().contains("shard index"));
-    let err = client.release(0xdead_beef_0000_0001).unwrap_err();
-    assert!(
-        err.to_string().contains("routed to node 57005"),
-        "expected WrongNode, got: {err}"
-    );
-    let err = client.solve(0xdead_beef_0000_0001, &[vec![1]]).unwrap_err();
-    assert!(err.to_string().contains("this is node 0"));
+    let msg = error_message(solve(&client, 0xdead_beef_0000_0001, &[vec![1]]));
+    assert!(msg.contains("this is node 0"));
     // ... while releasing an in-range-but-dead id stays harmless and
     // idempotent.
-    client.release((1u64 << 32) | 0xbeef).unwrap();
-    client.release(refs[2]).unwrap();
-    let err = client.solve(refs[2], &[vec![9]]).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    assert_eq!(release(&client, (1u64 << 32) | 0xbeef), Response::Released);
+    assert_eq!(release(&client, refs[2]), Response::Released);
+    let msg = error_message(solve(&client, refs[2], &[vec![9]]));
+    assert!(msg.contains("dead or unknown"), "dead reference: {msg}");
 
     drop(client);
     server.shutdown();
@@ -204,7 +227,7 @@ fn sixty_four_pipelined_sessions_on_one_reactor() {
         h.join().unwrap();
     }
 
-    let mut probe = TcpClient::connect(addr).unwrap();
+    let probe = PipelinedClient::connect(addr).unwrap();
     let stats = probe.stats().unwrap();
     assert_eq!(stats.queries, SESSIONS * DEPTH as u64);
     probe.shutdown_server().unwrap();
@@ -275,25 +298,29 @@ fn corked_batch_answers_in_request_order() {
 }
 
 #[test]
-fn v1_and_pipelined_clients_share_one_server() {
+fn two_pipelined_clients_share_one_server() {
     let server = Server::start("127.0.0.1:0", ServiceConfig::new(4), 2).unwrap();
     let addr = server.local_addr();
-    let mut old = TcpClient::connect(addr).unwrap();
-    let new = PipelinedClient::connect(addr).unwrap();
+    let first = PipelinedClient::connect(addr).unwrap();
+    let second = PipelinedClient::connect(addr).unwrap();
 
-    let root_old = old.session_root(1).unwrap();
-    let root_new = new.session_root(1).unwrap();
-    assert_eq!(root_old, root_new.to_wire(), "same session, same root");
+    let root_first = root(&first, 1);
+    let root_second = root(&second, 1);
+    assert_eq!(root_first, root_second, "same session, same root");
 
-    let Response::Solved { sat: true, .. } = old.solve(root_old, &[vec![5]]).unwrap() else {
+    let Response::Solved { sat: true, .. } = solve(&first, root_first, &[vec![5]]) else {
         panic!("expected SAT");
     };
-    let reply = new
-        .solve(root_new, vec![vec![lwsnap_solver::Lit::from_dimacs(-5)]])
+    let reply = second
+        .solve(
+            lwsnap_service::ProblemId::from_wire(root_second),
+            vec![vec![lwsnap_solver::Lit::from_dimacs(-5)]],
+        )
         .unwrap()
         .unwrap();
     assert_eq!(reply.result, lwsnap_solver::SolveResult::Sat);
-    assert_eq!(old.stats().unwrap().queries, 2);
+    assert_eq!(first.stats().unwrap().queries, 2);
+    assert_eq!(second.stats().unwrap().queries, 2, "one server, one count");
     server.shutdown();
 }
 
@@ -310,8 +337,8 @@ fn clean_disconnect_and_truncation_are_distinct_errors() {
         let _ = s.read(&mut buf); // swallow the request, reply nothing
                                   // drop(s): clean FIN between frames
     });
-    let mut client = TcpClient::connect(addr).unwrap();
-    let err = client.call(&protocol::Request::Stats).unwrap_err();
+    let client = PipelinedClient::connect(addr).unwrap();
+    let err = client.call(&Request::Stats).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::ConnectionAborted);
     assert!(
         err.get_ref().is_some_and(|e| e.is::<Disconnected>()),
@@ -326,13 +353,13 @@ fn clean_disconnect_and_truncation_are_distinct_errors() {
         let (mut s, _) = listener.accept().unwrap();
         let mut buf = [0u8; 256];
         let _ = s.read(&mut buf);
-        // 16-byte frame promised, 2 bytes delivered.
-        let mut partial = 16u32.to_le_bytes().to_vec();
+        // A tagged 16-byte frame promised, 2 bytes delivered.
+        let mut partial = (16 | protocol::TAGGED).to_le_bytes().to_vec();
         partial.extend_from_slice(&[1, 2]);
         s.write_all(&partial).unwrap();
     });
-    let mut client = TcpClient::connect(addr).unwrap();
-    let err = client.call(&protocol::Request::Stats).unwrap_err();
+    let client = PipelinedClient::connect(addr).unwrap();
+    let err = client.call(&Request::Stats).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     assert!(
         err.get_ref().is_none_or(|e| !e.is::<Disconnected>()),
@@ -354,12 +381,12 @@ fn client_read_timeout_detects_hung_server() {
         let _ = s.read(&mut buf);
         std::thread::sleep(Duration::from_millis(400));
     });
-    let mut client = TcpClient::connect(addr).unwrap();
+    let client = PipelinedClient::connect(addr).unwrap();
     client
         .set_read_timeout(Some(Duration::from_millis(50)))
         .unwrap();
     let start = std::time::Instant::now();
-    let err = client.call(&protocol::Request::Stats).unwrap_err();
+    let err = client.call(&Request::Stats).unwrap_err();
     assert!(
         matches!(
             err.kind(),
@@ -371,26 +398,80 @@ fn client_read_timeout_detects_hung_server() {
     srv.join().unwrap();
 }
 
+/// Sends `bytes` on a raw connection and collects everything the
+/// server writes back until it closes; asserts that is exactly one
+/// error frame on the reserved tag and returns its message.
+fn framing_error_then_close(server: &Server, bytes: &[u8]) -> String {
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    raw.write_all(bytes).unwrap();
+    let mut response = Vec::new();
+    raw.read_to_end(&mut response).unwrap(); // server closes after the error frame
+    let mut r = response.as_slice();
+    let frame = protocol::read_frame(&mut r).unwrap().expect("error frame");
+    assert_eq!(frame.tag, protocol::FRAMING_ERROR_TAG);
+    assert_eq!(protocol::read_frame(&mut r).unwrap(), None, "then a close");
+    error_message(Response::decode(&frame.payload).unwrap())
+}
+
 /// A garbage header on the wire gets an error response and the
 /// connection is closed — the reactor must not wedge or crash.
 #[test]
 fn framing_garbage_gets_an_error_then_close() {
     let server = Server::start("127.0.0.1:0", ServiceConfig::new(2), 1).unwrap();
-    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
     // Length prefix far beyond MAX_FRAME.
-    raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
-    let mut response = Vec::new();
-    raw.read_to_end(&mut response).unwrap(); // server closes after the error frame
-    let mut r = response.as_slice();
-    let payload = protocol::read_frame(&mut r).unwrap().expect("error frame");
-    let Response::Error(msg) = Response::decode(&payload).unwrap() else {
-        panic!("expected an error response");
-    };
+    let msg = framing_error_then_close(&server, &u32::MAX.to_le_bytes());
     assert!(msg.contains("length"), "framing diagnosis: {msg}");
     // The server is still healthy for well-formed clients.
-    let mut client = TcpClient::connect(server.local_addr()).unwrap();
+    let client = PipelinedClient::connect(server.local_addr()).unwrap();
     assert_eq!(client.stats().unwrap().queries, 0);
     server.shutdown();
+}
+
+/// A well-formed frame of the retired untagged format (a bare length
+/// word, then a Stats request) is a framing error: one error frame on
+/// the reserved tag naming the untagged header, then a close. Tagged
+/// clients of the same server are unaffected.
+#[test]
+fn untagged_frame_gets_an_error_then_close() {
+    let server = Server::start("127.0.0.1:0", ServiceConfig::new(2), 1).unwrap();
+    let client = PipelinedClient::connect(server.local_addr()).unwrap();
+    let msg = framing_error_then_close(&server, &[1, 0, 0, 0, 4]);
+    assert!(msg.contains("untagged"), "framing diagnosis: {msg}");
+    assert_eq!(client.stats().unwrap().queries, 0);
+    let root = client.session_root(1).unwrap();
+    let reply = client
+        .solve(root, vec![vec![lwsnap_solver::Lit::from_dimacs(1)]])
+        .unwrap()
+        .expect("live root");
+    assert_eq!(reply.result, lwsnap_solver::SolveResult::Sat);
+    server.shutdown();
+}
+
+/// A reply on the reserved tag is the connection's terminal error: the
+/// client fails the pending call with the server's own message, and
+/// every later call on the connection fails the same way.
+#[test]
+fn tag_zero_error_is_terminal_and_keeps_the_servers_message() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let srv = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let mut buf = [0u8; 256];
+        let _ = s.read(&mut buf);
+        let error = Response::Error("bad frame header: go away".into()).encode();
+        protocol::write_tagged_frame(&mut s, protocol::FRAMING_ERROR_TAG, &error).unwrap();
+        // Hold the socket open so later client writes still succeed.
+        let _ = done_rx.recv();
+    });
+    let client = PipelinedClient::connect(addr).unwrap();
+    let err = client.call(&Request::Stats).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(err.to_string(), "bad frame header: go away");
+    let again = client.call(&Request::Stats).unwrap_err();
+    assert_eq!(again.to_string(), "bad frame header: go away");
+    done_tx.send(()).unwrap();
+    srv.join().unwrap();
 }
 
 #[test]
@@ -402,9 +483,8 @@ fn server_over_existing_service_shares_state() {
         .solve(root, &[vec![lwsnap_solver::Lit::from_dimacs(1)]])
         .unwrap();
     let server = Server::serve("127.0.0.1:0", Arc::clone(&service), 1).unwrap();
-    let mut client = TcpClient::connect(server.local_addr()).unwrap();
-    let Response::Solved { sat, model, .. } =
-        client.solve(reply.problem.to_wire(), &[vec![2]]).unwrap()
+    let client = PipelinedClient::connect(server.local_addr()).unwrap();
+    let Response::Solved { sat, model, .. } = solve(&client, reply.problem.to_wire(), &[vec![2]])
     else {
         panic!("expected Solved");
     };

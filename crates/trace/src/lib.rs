@@ -114,7 +114,7 @@ pub enum Kind {
     /// problem id, b = edges replayed.
     SnapRederive = 7,
     /// Instant: a derivation edge forwarded to the ring successor.
-    /// a = session, b = edge seq.
+    /// a = session, b = forwarded problem id.
     ReplForward = 8,
     /// Span: a session promoted from its replica log. a = session,
     /// b = problems promoted.

@@ -15,9 +15,7 @@
 //!    comparison isolates the wire discipline);
 //! 5. the same daemon, all sessions multiplexed on ONE **pipelined**
 //!    connection (out-of-order completions) — the epoll front end's
-//!    reason to exist. The legacy v1 blocking `TcpClient` path is
-//!    exercised by `service_pipeline` (bench) and the TCP
-//!    integration suite rather than here;
+//!    reason to exist;
 //! 6. a **3-node in-process cluster** behind the consistent-hash ring
 //!    (`ClusterBackend` over one pipelined connection per node) —
 //!    sessions partitioned across nodes, per-node hit/rederive/evict
@@ -84,9 +82,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lwsnap_bench::service_workload::{RunOutcome, Workload};
-use lwsnap_service::{
-    ChaosPlan, Cluster, PipelinedClient, Server, ServiceConfig, SolverBackend, TcpClient,
-};
+use lwsnap_service::{ChaosPlan, Cluster, PipelinedClient, Server, ServiceConfig, SolverBackend};
 use lwsnap_trace::{export, Event, Kind};
 
 fn parse_flag(args: &[String], name: &str, default: usize) -> usize {
@@ -105,10 +101,10 @@ fn parse_str_flag<'a>(args: &'a [String], name: &str, default: &'a str) -> &'a s
 }
 
 /// Prints the phase-8 failover story read back out of one merged trace
-/// stream: the victim's last acknowledged probe, the missed-probe
-/// build-up, the death verdict, every replica promotion, and the first
-/// rerouted request. Returns `(saw_death, promotions)` so the caller
-/// can assert the timeline was actually reconstructable.
+/// stream, in time order: the victim's last acknowledged probe, the
+/// first missed probe, the death verdicts, every replica promotion, and
+/// the first rerouted request. Returns `(saw_death, promotions)` so the
+/// caller can assert the timeline was actually reconstructable.
 fn print_failover_timeline(events: &[Event], victim: u16) -> (bool, usize) {
     let v = victim as u64;
     let ms = |from: u64, to: u64| (to.saturating_sub(from)) as f64 / 1e6;
@@ -126,68 +122,61 @@ fn print_failover_timeline(events: &[Event], victim: u16) -> (bool, usize) {
         .or(first_miss)
         .or_else(|| events.first().map(|e| e.ts_ns))
         .unwrap_or(0);
-    println!(
-        "    failover timeline (victim node {victim}, {} events merged):",
-        events.len()
-    );
-    if let Some(t) = last_pong {
-        println!(
-            "      +{:>8.2}ms last heartbeat pong from node {victim}",
-            ms(t0, t)
-        );
-    }
     let misses = events
         .iter()
         .filter(|e| e.kind == Kind::HbMiss && e.a == v)
         .count();
+    // (timestamp, line) pairs, sorted before printing: the client may
+    // bury the node before its peers do, and a promotion may precede
+    // the verdict that caused it.
+    let mut lines: Vec<(u64, String)> = Vec::new();
+    if let Some(t) = last_pong {
+        lines.push((t, format!("last heartbeat pong from node {victim}")));
+    }
     if let Some(t) = first_miss {
-        println!(
-            "      +{:>8.2}ms first missed probe ({misses} misses total)",
-            ms(t0, t)
-        );
+        lines.push((t, format!("first missed probe ({misses} misses total)")));
     }
     let mut saw_death = false;
+    let mut promotions = 0usize;
     for e in events {
-        match e.kind {
+        let line = match e.kind {
             Kind::NodeDead if e.a == v => {
                 saw_death = true;
-                println!(
-                    "      +{:>8.2}ms peers declared node {victim} dead ({} sessions to promote)",
-                    ms(t0, e.ts_ns),
-                    e.b,
-                );
+                format!(
+                    "peers declared node {victim} dead ({} sessions to promote)",
+                    e.b
+                )
             }
             Kind::Failover if e.a == v => {
                 saw_death = true;
-                println!(
-                    "      +{:>8.2}ms client buried node {victim} (epoch {})",
-                    ms(t0, e.ts_ns),
-                    e.b,
-                );
+                format!("client buried node {victim} (epoch {})", e.b)
             }
-            _ => {}
-        }
-    }
-    let promotions: Vec<&Event> = events
-        .iter()
-        .filter(|e| e.kind == Kind::ReplPromote)
-        .collect();
-    for e in &promotions {
-        println!(
-            "      +{:>8.2}ms replica promoted session {:#x} ({} edges replayed)",
-            ms(t0, e.ts_ns),
-            e.a,
-            e.b,
-        );
+            Kind::ReplPromote => {
+                promotions += 1;
+                format!(
+                    "replica promoted session {:#x} ({} edges replayed)",
+                    e.a, e.b
+                )
+            }
+            _ => continue,
+        };
+        lines.push((e.ts_ns, line));
     }
     if let Some(e) = events.iter().find(|e| e.kind == Kind::Rerouted && e.a == v) {
-        println!(
-            "      +{:>8.2}ms first request rerouted {victim} -> node {}",
-            ms(t0, e.ts_ns),
-            e.b,
-        );
+        lines.push((
+            e.ts_ns,
+            format!("first request rerouted {victim} -> node {}", e.b),
+        ));
     }
-    (saw_death, promotions.len())
+    lines.sort_by_key(|&(ts, _)| ts);
+    println!(
+        "    failover timeline (victim node {victim}, {} events merged):",
+        events.len()
+    );
+    for (ts, line) in &lines {
+        println!("      +{:>8.2}ms {line}", ms(t0, *ts));
+    }
+    (saw_death, promotions)
 }
 
 fn report(label: &str, outcome: &RunOutcome) {
@@ -382,8 +371,8 @@ fn main() {
             r.pool_free,
         );
     }
-    TcpClient::connect(addr)
-        .and_then(|mut c| c.shutdown_server())
+    PipelinedClient::connect(addr)
+        .and_then(|c| c.shutdown_server())
         .expect("shutdown");
     server.wait();
 
