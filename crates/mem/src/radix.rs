@@ -223,13 +223,24 @@ impl PageTable {
 
     /// Discards all frames with vpn in `[lo, hi)`, pruning empty subtrees.
     ///
+    /// Only nodes on a path to a discarded frame are path-copied (and
+    /// billed in `stats.node_copies`): a range that maps no frame leaves
+    /// the table untouched, still sharing its root with any clone.
+    ///
     /// Returns the number of frames discarded (recorded in
     /// `stats.pages_discarded` as well).
     pub fn discard_range(&mut self, lo: u64, hi: u64, stats: &mut MemStats) -> u64 {
         if lo >= hi {
             return 0;
         }
-        let discarded = discard_rec(&mut self.root, LEVELS - 1, 0, lo, hi.min(MAX_VPN + 1));
+        let discarded = discard_rec(
+            &mut self.root,
+            LEVELS - 1,
+            0,
+            lo,
+            hi.min(MAX_VPN + 1),
+            stats,
+        );
         stats.pages_discarded += discarded;
         discarded
     }
@@ -244,6 +255,19 @@ impl PageTable {
         let mut n = 0;
         self.for_each_frame(|_, _| n += 1);
         n
+    }
+
+    /// Number of frames reachable from this table and from nothing else:
+    /// the frames dropping this table would free.
+    ///
+    /// Walks from the root, pruning every node some other owner also
+    /// holds (`Arc::strong_count > 1`: everything below it stays alive),
+    /// and counts the leaf frames with a single owner. Exact only while
+    /// every other owner of the table's nodes and frames is another live
+    /// page table, as in a store that owns all its tables; a stray `Arc`
+    /// clone of a node or frame (a leaf cache, say) makes it undercount.
+    pub fn exclusive_frames(&self) -> u64 {
+        exclusive_rec(&self.root)
     }
 
     /// Number of frames whose storage is pointer-identical in `other` at the
@@ -278,7 +302,14 @@ impl PageTable {
     }
 }
 
-fn discard_rec(node: &mut Arc<Node>, level: u32, base: u64, lo: u64, hi: u64) -> u64 {
+fn discard_rec(
+    node: &mut Arc<Node>,
+    level: u32,
+    base: u64,
+    lo: u64,
+    hi: u64,
+    stats: &mut MemStats,
+) -> u64 {
     let node_span = span(level + 1);
     let node_lo = base;
     let node_hi = base + node_span;
@@ -291,6 +322,13 @@ fn discard_rec(node: &mut Arc<Node>, level: u32, base: u64, lo: u64, hi: u64) ->
     if make_none {
         // Whole node goes away; caller clears the slot. Count first.
         return count_rec(node, level);
+    }
+    // Nothing to drop here: leave the node (and its sharing) alone.
+    if !maps_any(node, level, base, lo, hi) {
+        return 0;
+    }
+    if Arc::strong_count(node) > 1 {
+        stats.node_copies += 1;
     }
     let node = Arc::make_mut(node);
     match node {
@@ -307,7 +345,7 @@ fn discard_rec(node: &mut Arc<Node>, level: u32, base: u64, lo: u64, hi: u64) ->
                         discarded += count_rec(child, level - 1);
                         *entry = None;
                     } else {
-                        discarded += discard_rec(child, level - 1, child_lo, lo, hi);
+                        discarded += discard_rec(child, level - 1, child_lo, lo, hi, stats);
                         if child.is_empty() {
                             *entry = None;
                         }
@@ -326,6 +364,44 @@ fn discard_rec(node: &mut Arc<Node>, level: u32, base: u64, lo: u64, hi: u64) ->
         }
     }
     discarded
+}
+
+/// Whether any frame under `node` (covering vpns from `base`) lies in
+/// `[lo, hi)`.
+fn maps_any(node: &Node, level: u32, base: u64, lo: u64, hi: u64) -> bool {
+    match node {
+        Node::Interior(slots) => {
+            let child_span = span(level);
+            slots.iter().enumerate().any(|(i, entry)| {
+                let child_lo = base + i as u64 * child_span;
+                let child_hi = child_lo + child_span;
+                entry.as_ref().is_some_and(|child| {
+                    lo < child_hi
+                        && child_lo < hi
+                        && (lo <= child_lo && child_hi <= hi
+                            || maps_any(child, level - 1, child_lo, lo, hi))
+                })
+            })
+        }
+        Node::Leaf(frames) => frames.iter().enumerate().any(|(i, entry)| {
+            let vpn = base + i as u64;
+            lo <= vpn && vpn < hi && entry.is_some()
+        }),
+    }
+}
+
+fn exclusive_rec(node: &Arc<Node>) -> u64 {
+    if Arc::strong_count(node) > 1 {
+        return 0;
+    }
+    match &**node {
+        Node::Interior(slots) => slots.iter().flatten().map(exclusive_rec).sum(),
+        Node::Leaf(frames) => frames
+            .iter()
+            .flatten()
+            .filter(|frame| Arc::strong_count(frame) == 1)
+            .count() as u64,
+    }
 }
 
 #[allow(clippy::only_used_in_recursion)] // mirrors discard_rec's signature
@@ -495,6 +571,76 @@ mod tests {
         pt.discard_range(0, 100, &mut stats);
         assert!(pt.frame(4).is_none());
         assert_eq!(read_byte(&snap, 4, 0), 7);
+    }
+
+    #[test]
+    fn empty_discard_on_a_clone_copies_nothing() {
+        let mut pt = PageTable::new();
+        let mut stats = MemStats::new();
+        for vpn in 0..10 {
+            write_byte(&mut pt, vpn, 0, 1, &mut stats);
+        }
+        let snap = pt.clone();
+        let mut stats = MemStats::new();
+        // Same leaf, next leaf, and far beyond: none maps a frame.
+        assert_eq!(pt.discard_range(10, 1 << 20, &mut stats), 0);
+        assert_eq!(pt.discard_range(600, 700, &mut stats), 0);
+        assert!(pt.same_root(&snap), "an empty discard must not path-copy");
+        assert_eq!(stats.node_copies, 0);
+        assert_eq!(stats.pages_discarded, 0);
+        assert_eq!(pt.count_frames(), 10);
+    }
+
+    #[test]
+    fn populated_discard_on_a_clone_prunes_and_bills_copies() {
+        let mut pt = PageTable::new();
+        let mut stats = MemStats::new();
+        for vpn in 0..10 {
+            write_byte(&mut pt, vpn, 0, vpn as u8, &mut stats);
+        }
+        let snap = pt.clone();
+        let mut stats = MemStats::new();
+        assert_eq!(pt.discard_range(5, 1 << 20, &mut stats), 5);
+        assert_eq!(stats.pages_discarded, 5);
+        assert_eq!(stats.node_copies, LEVELS as u64, "one copy per level");
+        assert!(!pt.same_root(&snap));
+        assert_eq!(pt.count_frames(), 5);
+        assert!(pt.frame(5).is_none());
+        // The original snapshot keeps every page.
+        assert_eq!(snap.count_frames(), 10);
+        for vpn in 0..10 {
+            assert_eq!(read_byte(&snap, vpn, 0), vpn as u8);
+        }
+        // Emptying a whole subtree prunes it instead of leaving husks.
+        assert_eq!(pt.discard_range(0, 5, &mut stats), 5);
+        assert_eq!(pt.count_frames(), 0);
+        assert!(pt.root.is_empty());
+    }
+
+    #[test]
+    fn exclusive_frames_counts_what_only_this_table_maps() {
+        let mut pt = PageTable::new();
+        let mut stats = MemStats::new();
+        let far = 1u64 << (FANOUT_SHIFT * 3);
+        for vpn in (0..10).chain([far]) {
+            write_byte(&mut pt, vpn, 0, 1, &mut stats);
+        }
+        assert_eq!(pt.exclusive_frames(), 11, "a lone table owns everything");
+        let mut child = pt.clone();
+        assert_eq!(pt.exclusive_frames(), 0, "shared root: nothing private");
+        assert_eq!(child.exclusive_frames(), 0);
+        // Dirty one page and add one: the child owns exactly those two.
+        write_byte(&mut child, 3, 0, 2, &mut stats);
+        write_byte(&mut child, 20, 0, 2, &mut stats);
+        assert_eq!(child.exclusive_frames(), 2);
+        // The parent still owns the page the child replaced.
+        assert_eq!(pt.exclusive_frames(), 1);
+        // Dropping the child's view of pages 0..10 hands them back.
+        child.discard_range(0, 10, &mut stats);
+        assert_eq!(pt.exclusive_frames(), 10);
+        assert_eq!(child.exclusive_frames(), 1, "only page 20 is private");
+        drop(child);
+        assert_eq!(pt.exclusive_frames(), 11);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 pub struct MemStats {
     /// Pages copied because they were shared with a snapshot (CoW breaks).
     pub cow_page_copies: u64,
-    /// Radix-tree interior/leaf nodes copied on the write path.
+    /// Radix-tree interior/leaf nodes copied on the write path (writes,
+    /// installs, and discards that drop frames).
     pub node_copies: u64,
     /// Pages materialised from demand-zero.
     pub zero_fills: u64,

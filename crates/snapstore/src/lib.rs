@@ -36,6 +36,22 @@
 //! service's `snapshot_budget_bytes` compares against; with sharing,
 //! the same budget holds many times more snapshots than the deep-clone
 //! baseline (the `snapstore_density` bench asserts ≥ 5×).
+//!
+//! ## Residency is counted incrementally
+//!
+//! The service reads `resident_bytes` after every put and remove, so
+//! the count is kept as it changes rather than walked: a `put` adds the
+//! fresh frames it installs (CoW page copies plus zero fills — the
+//! parent stays resident, so no frame leaves the distinct set), and a
+//! `remove` subtracts [`PageTable::exclusive_frames`] of the victim,
+//! the frames no other table reaches. Each read is O(1). The section
+//! tail a `put` trims with `discard_range` maps nothing in the common
+//! case, and an empty discard copies no nodes, so a child's private
+//! nodes are only those on paths to its dirtied pages — which keeps
+//! the remove walk short too. The full frame walk remains as the
+//! reference: `page_stats` (the shared/private split, read by the
+//! service's `stats()`, not per request) memoises it, and debug builds
+//! assert the counter against it on every `resident_bytes` read.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,9 +83,13 @@ pub struct CowStore {
     free: Vec<u32>,
     live: usize,
     stats: MemStats,
-    /// Memoised `(resident_bytes, page_stats)` — invalidated by every
+    /// Distinct frames across all resident tables, kept exact by `put`
+    /// (plus the frames it installs) and `remove` (minus the frames only
+    /// the victim mapped).
+    frames: u64,
+    /// Memoised shared/private page split — invalidated by every
     /// `put`/`remove`, recomputed lazily by a frame walk.
-    cache: Cell<Option<(usize, StorePageStats)>>,
+    cache: Cell<Option<StorePageStats>>,
 }
 
 impl Default for CowStore {
@@ -87,6 +107,7 @@ impl CowStore {
             free: Vec::new(),
             live: 0,
             stats: MemStats::new(),
+            frames: 0,
             cache: Cell::new(None),
         }
     }
@@ -163,7 +184,9 @@ impl CowStore {
         out
     }
 
-    fn recompute(&self) -> (usize, StorePageStats) {
+    /// The reference page accounting: a walk over every frame of every
+    /// resident table. O(resident pages), so only `page_stats` reads it.
+    fn recompute(&self) -> StorePageStats {
         // Key frames by allocation address: `Arc::ptr_eq` at scale.
         let mut counts: HashMap<usize, u64> = HashMap::new();
         for table in self.slots.iter().flatten() {
@@ -173,21 +196,11 @@ impl CowStore {
         }
         let total = counts.len() as u64;
         let shared = counts.values().filter(|&&c| c > 1).count() as u64;
-        let stats = StorePageStats {
+        StorePageStats {
             total_pages: total,
             shared_pages: shared,
             private_pages: total - shared,
-        };
-        (counts.len() * PAGE_SIZE, stats)
-    }
-
-    fn cached(&self) -> (usize, StorePageStats) {
-        if let Some(hit) = self.cache.get() {
-            return hit;
         }
-        let fresh = self.recompute();
-        self.cache.set(Some(fresh));
-        fresh
     }
 }
 
@@ -197,9 +210,14 @@ impl SnapshotStore for CowStore {
         let mut table = parent
             .and_then(|id| self.table(id).cloned())
             .unwrap_or_default();
+        // The parent stays resident, so every frame the child drops or
+        // replaces is still mapped; only the fresh frames are new.
+        let fresh = |s: &MemStats| s.cow_page_copies + s.zero_fills;
+        let before = fresh(&self.stats);
         for (i, sec) in sections.iter().enumerate() {
             Self::write_section(&mut table, &mut self.stats, i, sec);
         }
+        self.frames += fresh(&self.stats) - before;
         self.cache.set(None);
         self.live += 1;
         match self.free.pop() {
@@ -228,17 +246,19 @@ impl SnapshotStore for CowStore {
     }
 
     fn remove(&mut self, id: SnapId) -> bool {
-        let Some(&gen) = self.gens.get(id.idx() as usize) else {
-            return false;
-        };
-        if gen != id.gen() || self.slots[id.idx() as usize].is_none() {
+        let idx = id.idx() as usize;
+        if self.gens.get(idx) != Some(&id.gen()) {
             return false;
         }
+        let Some(table) = self.slots[idx].take() else {
+            return false;
+        };
         // Dropping the table frees every frame only it referenced;
         // frames shared with parent/children survive by refcount —
-        // chain compaction for free.
-        self.slots[id.idx() as usize] = None;
-        self.gens[id.idx() as usize] = gen.wrapping_add(1);
+        // chain compaction for free. Count the former while every other
+        // table still holds its references.
+        self.frames -= table.exclusive_frames();
+        self.gens[idx] = id.gen().wrapping_add(1);
         self.free.push(id.idx());
         self.live -= 1;
         self.cache.set(None);
@@ -250,11 +270,21 @@ impl SnapshotStore for CowStore {
     }
 
     fn resident_bytes(&self) -> usize {
-        self.cached().0
+        debug_assert_eq!(
+            self.frames,
+            self.page_stats().total_pages,
+            "incremental frame count drifted from the frame walk"
+        );
+        self.frames as usize * PAGE_SIZE
     }
 
     fn page_stats(&self) -> StorePageStats {
-        self.cached().1
+        if let Some(hit) = self.cache.get() {
+            return hit;
+        }
+        let fresh = self.recompute();
+        self.cache.set(Some(fresh));
+        fresh
     }
 
     fn mem_stats(&self) -> StoreMemStats {
@@ -285,6 +315,105 @@ mod tests {
         }
         assert_eq!(s.solve(), SolveResult::Sat);
         s
+    }
+
+    /// The incremental counter against the reference frame walk (the
+    /// `debug_assert` in `resident_bytes` checks the same, but only in
+    /// debug builds).
+    fn assert_counted(store: &CowStore) -> usize {
+        let bytes = store.resident_bytes();
+        assert_eq!(
+            bytes,
+            store.page_stats().total_pages as usize * PAGE_SIZE,
+            "frame counter drifted from the walk"
+        );
+        bytes
+    }
+
+    fn extended(s: &Solver, fam: &IncrementalFamily, step: u64) -> Solver {
+        let mut s = s.clone();
+        for c in &fam.increment(step) {
+            s.add_clause(c);
+        }
+        s.solve();
+        s
+    }
+
+    #[test]
+    fn residency_counter_survives_awkward_removal_orders() {
+        let fam = IncrementalFamily::new(80, 4, 12);
+        let base = worked_solver(12);
+        let mut store = CowStore::new();
+        assert_eq!(assert_counted(&store), 0);
+
+        // A parent with two children; the parent goes first.
+        let p = store.put(None, &base);
+        let one = assert_counted(&store);
+        let a = store.put(Some(p), &extended(&base, &fam, 3));
+        assert_counted(&store);
+        let b = store.put(Some(p), &extended(&base, &fam, 4));
+        let all = assert_counted(&store);
+        assert!(store.remove(p));
+        let without_p = assert_counted(&store);
+        assert!(without_p <= all && without_p >= one);
+        assert!(store.remove(a));
+        assert_counted(&store);
+        assert!(store.get(b).is_some(), "survivor still reads back");
+
+        // The freed slots are reused; the new generations count afresh.
+        let c = store.put(Some(b), &extended(&base, &fam, 5));
+        assert_eq!(c.idx(), a.idx(), "slot recycled");
+        assert_counted(&store);
+        // An identical re-put shares its parent's root outright.
+        let twin = store.put(Some(c), &store.get(c).unwrap());
+        let with_twin = assert_counted(&store);
+        assert!(store.remove(c));
+        assert_eq!(assert_counted(&store), with_twin, "twin still maps all");
+
+        // A stale parent handle forks from nothing: no sharing.
+        assert!(!store.remove(a), "stale handle");
+        let before = assert_counted(&store);
+        let orphan = store.put(Some(a), &base);
+        assert_eq!(assert_counted(&store), before + one);
+
+        for id in [b, twin, orphan] {
+            assert!(store.remove(id));
+            assert_counted(&store);
+        }
+        assert!(store.is_empty());
+        assert_eq!(assert_counted(&store), 0);
+    }
+
+    #[test]
+    fn residency_counter_tracks_shrinking_sections() {
+        // Big parent, small child: the child's put discards the
+        // parent's section tails, which stay resident in the parent.
+        let mut store = CowStore::new();
+        let big = worked_solver(13);
+        let parent = store.put(None, &big);
+        let small = {
+            let mut s = Solver::new();
+            for c in &IncrementalFamily::new(10, 3, 14).base().clauses {
+                s.add_clause(c);
+            }
+            s.solve();
+            s
+        };
+        let discarded = store.mem_stats().pages_discarded;
+        let child = store.put(Some(parent), &small);
+        assert!(
+            store.mem_stats().pages_discarded > discarded,
+            "tail dropped"
+        );
+        let grand = store.put(Some(child), &big);
+        assert_counted(&store);
+        assert!(store.remove(parent));
+        assert_counted(&store);
+        assert!(store.remove(grand));
+        assert_counted(&store);
+        assert_eq!(encode(&store.get(child).unwrap()), encode(&small));
+        assert!(store.remove(child));
+        assert_eq!(assert_counted(&store), 0);
     }
 
     #[test]

@@ -6,9 +6,14 @@
 //! *cost* (that is the point of the CoW store) but never about
 //! *answers*: an evicted snapshot re-derives by constraint-path
 //! replay, and the solver is deterministic in the clause path.
+//!
+//! Along the way the CoW store's incremental `resident_bytes` must
+//! equal its frame walk (`page_stats().total_pages` pages) after every
+//! step.
 
 use proptest::prelude::*;
 
+use lwsnap_mem::PAGE_SIZE;
 use lwsnap_snapstore::CowStore;
 use lwsnap_solver::{DeepCloneStore, Lit, SolverService};
 
@@ -126,6 +131,14 @@ proptest! {
                     }
                 }
             }
+            // The store's O(1) residency counter against its own
+            // reference frame walk, after every step.
+            prop_assert_eq!(
+                cow.resident_bytes(),
+                cow.page_stats().total_pages as usize * PAGE_SIZE,
+                "resident_bytes drifted from the frame walk after {:?}",
+                op
+            );
         }
         // Every problem either service still remembers answers the
         // same cached verdict on both.
